@@ -3,13 +3,16 @@
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
 Runs one workload as a closed loop with a single client for ``--seconds``
-of loop wall time, on one thread, importing the library from ``src/`` next
-to this directory.  Inputs are generated from the seed in chunks outside the
-timed window, and each chunk's answers are checked against mpmath right
-after it, also outside the timed window.  The last line of stdout is one
-JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``: the
-end-to-end metrics with ``--trace 0``, the per-layer metrics of a traced run
-with ``--trace 1``.  The lines before it are a readable report.
+of loop wall time, on one thread.  The library calls run in a worker process
+(``worker.py``) that imports nothing but the workload's modules from
+``src/`` next to this directory, so its peak memory is the program's.
+Inputs are generated from the seed in chunks outside the timed window, and
+each chunk's answers are checked against mpmath right after it, also outside
+the timed window.  Fresh-interpreter imports, for ``setup_s``, are spread
+through the run.  The last line of stdout is one JSON object with
+``correct``, ``attempted``, ``failed`` and ``metrics``: the end-to-end
+metrics with ``--trace 0``, the per-layer metrics of a traced run with
+``--trace 1``.  The lines before it are a readable report.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ os.environ.pop("CONFINEDGAS_THREADS", None)
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
-import importlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
+import pickle  # noqa: E402
 import platform  # noqa: E402
-import resource  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -36,7 +38,6 @@ import time  # noqa: E402
 from collections import Counter  # noqa: E402
 from importlib import metadata  # noqa: E402
 from pathlib import Path  # noqa: E402
-from types import SimpleNamespace  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -44,33 +45,19 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(HERE))
 
 import numpy as np  # noqa: E402
-from scipy.integrate import quad  # noqa: E402
 
 import tracing  # noqa: E402
+import worker  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
-SETUP_REPEATS = 5
+#: Fresh-interpreter imports per run, taken at even steps of loop wall time.
+SETUP_SAMPLES = 9
 DIGEST_HEAD = 16
-#: Loop times are scaled to a machine on which ``calibration_kernel`` takes
-#: this long (a little under its median on a 2-core Xeon VM).
+#: Loop times are scaled to a machine on which ``worker.calibration_kernel``
+#: takes this long (about its median on a 2-core Xeon VM).
 CALIBRATION_REF_S = 2.0e-3
 #: Calibration samples in the rolling median that scales a chunk.
 CALIBRATION_WINDOW = 5
-LIBRARY_MODULES = ("statfun", "geometry", "eos", "thermo", "bessel", "spectral", "cli", "errors")
-
-
-def load_library() -> SimpleNamespace:
-    """Import confinedgas from this checkout's src/ (never from elsewhere)."""
-    if not (SRC / "confinedgas" / "__init__.py").is_file():
-        raise SystemExit(f"perfbench: no library source at {SRC / 'confinedgas'}")
-    sys.path.insert(0, str(SRC))
-    lib = SimpleNamespace(clock=time.perf_counter)
-    for name in LIBRARY_MODULES:
-        setattr(lib, name, importlib.import_module(f"confinedgas.{name}"))
-    origin = Path(lib.statfun.__file__).resolve()
-    if SRC.resolve() not in origin.parents:
-        raise SystemExit(f"perfbench: confinedgas was imported from {origin}, not {SRC}")
-    return lib
 
 
 def environment(seed: int) -> dict:
@@ -91,51 +78,77 @@ def environment(seed: int) -> dict:
             "nproc": len(os.sched_getaffinity(0)), "cpu": cpu, "seed": seed}
 
 
-def import_code(modules) -> str:
-    return f"import sys; sys.path.insert(0, {str(SRC)!r}); import {', '.join(modules)}"
+def import_code(workload) -> str:
+    modules = ", ".join(worker.MODULES[workload.name])
+    return f"import sys; sys.path.insert(0, {str(SRC)!r}); import {modules}"
 
 
-def measure_setup(workload) -> list[float]:
-    """Wall time of fresh interpreters importing the workload's modules."""
-    code = import_code(workload.modules)
-    samples = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=os.environ.copy(),
-                       stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, timeout=120, check=True)
-        samples.append(time.perf_counter() - t0)
-    return samples
-
-
-_CALIBRATION_X = np.linspace(0.1, 5.0, 64)
-
-
-def calibration_kernel() -> float:
-    """Fixed work of the library's kinds (interpreter arithmetic, calls and
-    string formatting, small numpy arrays, QUADPACK) sharing no library code.
-
-    The host's speed drifts by +-15% over tens of seconds (other tenants
-    share the cores), so each chunk of ops is scaled by how long this kernel
-    took just before it.
-    """
+def measure_setup(workload) -> float:
+    """Wall time of one fresh interpreter importing the workload's modules."""
     t0 = time.perf_counter()
-    acc = 0.0
-    for i in range(5000):
-        acc += i * i % 7
-    row = ",".join(f"{0.1 * i:.17g}" for i in range(300))
-    acc += sum(float(v) for v in row.split(","))
-    for i in range(100):
-        acc += float(np.sum(np.exp(_CALIBRATION_X * (0.001 * i)) / (1.0 + _CALIBRATION_X)))
-    for shift in (0.0, 1.0):
-        acc += quad(lambda u: u**0.5 / (math.exp(u * u - 2.0 - shift) + 1.0), 0.0, 10.0,
-                    epsabs=1e-13, epsrel=1e-13)[0]
+    subprocess.run([sys.executable, "-c", import_code(workload)], cwd=ROOT,
+                   env=os.environ.copy(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                   timeout=120, check=True)
     return time.perf_counter() - t0
+
+
+class WorkerProcess:
+    """The worker process that runs the timed ops (see ``worker.py``)."""
+
+    def __init__(self, workload):
+        self.proc = subprocess.Popen(
+            [sys.executable, str(HERE / "worker.py"), workload.name, str(SRC)],
+            cwd=ROOT, env=os.environ.copy(), stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        if self._receive() != "ready":
+            raise SystemExit("perfbench: the worker did not start")
+
+    def _receive(self):
+        try:
+            return pickle.load(self.proc.stdout)
+        except EOFError:
+            self.proc.kill()
+            self.proc.wait()
+            raise SystemExit(f"perfbench: the worker exited with code {self.proc.returncode}")
+
+    def _send(self, message) -> None:
+        pickle.dump(message, self.proc.stdin)
+        self.proc.stdin.flush()
+
+    def run_chunk(self, chunk: list[dict], budget: float):
+        self._send((chunk, budget))
+        return self._receive()
+
+    def close(self) -> float:
+        """Stop the worker; returns its peak resident set in MB."""
+        self._send(None)
+        peak_kb = self._receive()
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+        if self.proc.wait(timeout=60) != 0:
+            raise SystemExit(f"perfbench: the worker exited with code {self.proc.returncode}")
+        return peak_kb / 1024.0
+
+    def kill(self) -> None:
+        if self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.wait()
+
+
+class InProcess:
+    """Runs ops in this process."""
+
+    def __init__(self, workload, lib):
+        self.lib = lib
+        self.call = worker.CALLS[workload.name]
+
+    def run_chunk(self, chunk: list[dict], budget: float):
+        return worker.run_chunk(self.lib, self.call, chunk, budget)
 
 
 def clear_caches(lib) -> None:
     """Empty the library's memo caches so a replay starts as cold as the loop."""
-    for name in LIBRARY_MODULES:
-        for value in list(vars(getattr(lib, name)).values()):
+    for module in vars(lib).values():
+        for value in list(getattr(module, "__dict__", {}).values()):
             if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
 
@@ -158,7 +171,7 @@ class Pass:
         text = f"error:{err}" if err else self.workload.digest(out)
         for h in (self._head, self._full) if len(self.verdicts) < DIGEST_HEAD else (self._full,):
             h.update(text.encode() + b"\n")
-        wrong = False
+        wrong = err is not None and err.startswith(worker.UNEXPECTED)
         if err is None:
             refusal = getattr(self.workload, "failure", None)
             err = refusal(out) if refusal else None
@@ -186,67 +199,57 @@ class Pass:
 class Loop:
     """Closed loop, one client: the next op starts when the last returns."""
 
-    def __init__(self, workload, lib, seed: int, keep_ops: bool):
+    def __init__(self, workload, executor, seed: int, keep_ops: bool):
         self.workload = workload
-        self.lib = lib
+        self.executor = executor
         rng = np.random.default_rng([seed, sorted(WORKLOADS).index(workload.name)])
         self.source = workload.generator(rng)
         self.keep_ops = keep_ops
         self.ops: list = []
         self.generate_s = 0.0
+        self.check_s = 0.0
         self.calibration: list[float] = []
-        self.library_error = getattr(lib.errors, "ConfinedGasError", Exception)
+        self.setup: list[float] = []
 
-    def _one(self, op, tracer=None, op_id=0):
-        """Run one op; returns (output, error type or None, latency)."""
-        run = self.workload.run
-        t0 = time.perf_counter()
-        try:
-            if tracer is None:
-                out = run(self.lib, op)
-            else:
-                out = tracer.call(op_id, run, self.lib, op)
-            err = None
-        except self.library_error as exc:
-            out, err = None, type(exc).__name__
-        except Exception as exc:  # a defect, not a refusal: still a failed op
-            out, err = None, f"unexpected {type(exc).__name__}"
-        return out, err, time.perf_counter() - t0
-
-    def run_for(self, seconds: float, record: Pass) -> tuple[float, float]:
-        """Run new ops until the loop wall time reaches ``seconds``.
+    def run_for(self, seconds: float, record: Pass, setup_samples: int = 0) -> tuple[float, float]:
+        """Run new ops until the loop wall time reaches ``seconds``, taking
+        ``setup_samples`` fresh imports at even steps of loop wall time.
 
         Returns the wall time and the calibrated wall time of the loop.
         """
         wall = scaled = 0.0
         while wall < seconds:
+            while len(self.setup) < setup_samples * wall / seconds:
+                self.setup.append(measure_setup(self.workload))
             t0 = time.perf_counter()
             chunk = [next(self.source) for _ in range(self.workload.chunk)]
             self.generate_s += time.perf_counter() - t0
-            self.calibration.append(calibration_kernel())
+            results, elapsed, calibration = self.executor.run_chunk(
+                [op.inputs for op in chunk], seconds - wall)
+            self.calibration.append(calibration)
             scale = CALIBRATION_REF_S / statistics.median(
                 self.calibration[-CALIBRATION_WINDOW:])
-            done = []
-            t_start = time.perf_counter()
-            for op in chunk:
-                done.append((op,) + self._one(op))
-                if wall + time.perf_counter() - t_start >= seconds:
-                    break
-            elapsed = time.perf_counter() - t_start
             wall += elapsed
             scaled += elapsed * scale
-            for op, out, err, latency in done:
+            t0 = time.perf_counter()
+            for op, (out, err, latency) in zip(chunk, results):
                 record.add(op, out, err, latency, scale)
+            self.check_s += time.perf_counter() - t0
             if self.keep_ops:
-                self.ops.extend(op for op, *_ in done)
+                self.ops.extend(chunk[:len(results)])
+        while len(self.setup) < setup_samples:
+            self.setup.append(measure_setup(self.workload))
         return wall, scaled
 
-    def replay(self, record: Pass, tracer=None) -> float:
-        """Run the kept ops again (traced when ``tracer`` is given)."""
+    def replay(self, record: Pass, lib, tracer=None) -> float:
+        """Run the kept ops again in this process (traced when ``tracer`` is
+        given)."""
+        call = worker.CALLS[self.workload.name]
         results = []
         t_start = time.perf_counter()
         for i, op in enumerate(self.ops):
-            results.append(self._one(op, tracer, i))
+            wrap = None if tracer is None else (lambda fn, *args, i=i: tracer.call(i, fn, *args))
+            results.append(worker.execute(lib, call, op.inputs, wrap))
         wall = time.perf_counter() - t_start
         for op, (out, err, latency) in zip(self.ops, results):
             record.add(op, out, err, latency, 1.0)
@@ -278,34 +281,43 @@ def report(lines: list[str], label: str, value, unit: str, note: str = "") -> No
     lines.append(f"  {label:<14} {value!r:>24} {unit:<5} {note}")
 
 
-def timed_run(workload, lib, seconds: float, seed: int, out: list[str]):
-    """Untraced run: set-up time, then the loop.  Returns (values, record)."""
-    setup = measure_setup(workload)
-    loop = Loop(workload, lib, seed, keep_ops=False)
-    record = Pass(workload)
-    wall, scaled_wall = loop.run_for(seconds, record)
+def timed_run(workload, seconds: float, seed: int, out: list[str]):
+    """Untraced run in the worker process.  Returns (values, record, wrong)."""
+    executor = WorkerProcess(workload)
+    try:
+        loop = Loop(workload, executor, seed, keep_ops=False)
+        record = Pass(workload)
+        wall, scaled_wall = loop.run_for(seconds, record, SETUP_SAMPLES)
+        peak_rss_mb = executor.close()
+    finally:
+        executor.kill()
     verdicts = record.verdicts
     lat = latency_summary(verdicts)
     raw = latency_summary(verdicts, column=3)
     n_ok = sum(1 for v in verdicts if v[0])
+    setup = loop.setup
+    cal = loop.calibration
+    # Import time follows the host's speed as the calibration kernel does.
+    setup_scale = CALIBRATION_REF_S / statistics.median(cal)
     values = {
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(setup) * setup_scale,
         "ops_per_s": n_ok / scaled_wall,
         "op_p50_ms": lat["p50_ms"],
         "op_tail_ms": lat["tail_ms"],
         "ok_share": n_ok / len(verdicts),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb,
     }
-    cal = loop.calibration
-    out.append(f"  {len(verdicts)} ops attempted in {wall:.6g} s loop wall time "
-               f"(+{loop.generate_s:.3g} s generating inputs, outside it)")
+    out.append(f"  {len(verdicts)} ops attempted in {wall:.6g} s loop wall time; outside it "
+               f"{loop.generate_s:.3g} s generating inputs, {loop.check_s:.3g} s checking, "
+               f"{sum(setup):.3g} s in fresh imports")
     out.append(f"  calibration kernel: median {statistics.median(cal) * 1e3:.4g} ms over "
                f"{len(cal)} chunks (range {min(cal) * 1e3:.4g}-{max(cal) * 1e3:.4g} ms); "
                f"loop times below are scaled to {CALIBRATION_REF_S * 1e3:g} ms. Unscaled: "
                f"{n_ok / wall:.6g} ops/s, p50 {raw['p50_ms']:.6g} ms, "
                f"tail {raw['tail_ms']:.6g} ms")
     report(out, "setup_s", values["setup_s"], "s",
-           f"median of {SETUP_REPEATS} fresh imports {[round(s, 4) for s in setup]}")
+           f"median of {len(setup)} fresh imports through the run, scaled by the run's "
+           f"median calibration; unscaled {[round(s, 4) for s in setup]}")
     report(out, "ops_per_s", values["ops_per_s"], "1/s", f"{n_ok} checked ops")
     report(out, "op_p50_ms", values["op_p50_ms"], "ms",
            f"n={lat['n']}; failure-ranked: {lat['ranked_p50']}")
@@ -315,20 +327,21 @@ def timed_run(workload, lib, seconds: float, seed: int, out: list[str]):
     report(out, "failed_share", 1.0 - values["ok_share"], "1",
            f"{len(verdicts) - n_ok} of {len(verdicts)}")
     report(out, "ok_share", values["ok_share"], "1")
-    report(out, "peak_rss_mb", values["peak_rss_mb"], "MB", "ru_maxrss")
+    report(out, "peak_rss_mb", values["peak_rss_mb"], "MB", "ru_maxrss of the worker process")
     if record.build_s:
         report(out, "levels_per_s", record.levels / record.build_s, "1/s",
                f"{record.levels} levels in {record.build_s:.4g} s of spectrum construction")
     return values, record, record.wrong
 
 
-def traced_run(workload, lib, seconds: float, seed: int, out: list[str]):
+def traced_run(workload, seconds: float, seed: int, out: list[str]):
     """Traced run: import breakdown, then spans over a replay of the ops."""
-    values = tracing.import_breakdown(sys.executable, import_code(workload.modules),
+    values = tracing.import_breakdown(sys.executable, import_code(workload),
                                       os.environ.copy(), str(ROOT))
+    lib = worker.load_library(SRC, worker.MODULES[workload.name])
     # A third of the time picks the ops; they are then replayed traced and
     # untraced, each from empty caches, and the difference is the overhead.
-    loop = Loop(workload, lib, seed, keep_ops=True)
+    loop = Loop(workload, InProcess(workload, lib), seed, keep_ops=True)
     first = Pass(workload)
     loop.run_for(seconds / 3.0, first)
     clear_caches(lib)
@@ -336,12 +349,12 @@ def traced_run(workload, lib, seconds: float, seed: int, out: list[str]):
     tracer = tracing.Tracer()
     tracer.install(lib)
     try:
-        wall = loop.replay(record, tracer)
+        wall = loop.replay(record, lib, tracer)
     finally:
         tracer.uninstall()
     clear_caches(lib)
     plain = Pass(workload)
-    plain_wall = loop.replay(plain)
+    plain_wall = loop.replay(plain, lib)
     metrics, extra = tracing.layer_metrics(tracer.spans, record.bytes_out)
     values.update(metrics)
     values["trace.overhead_s"] = wall - plain_wall
@@ -369,13 +382,12 @@ def main(argv=None) -> int:
 
     workload = WORKLOADS[args.workload]
     why = next(w["why"] for w in spec["workloads"] if w["name"] == workload.name)
-    lib = load_library()
     out = [f"perfbench {workload.name}: seed {args.seed}, {args.seconds:g} s, trace {args.trace}",
            f"  why: {why}",
            "  env: " + ", ".join(f"{k} {v}" for k, v in environment(args.seed).items()),
            "  closed loop, 1 client, 1 thread, inputs generated outside the timed window"]
     run = traced_run if args.trace else timed_run
-    values, record, wrong = run(workload, lib, args.seconds, args.seed, out)
+    values, record, wrong = run(workload, args.seconds, args.seed, out)
 
     for (label, err), count in sorted(record.failures.items()):
         out.append(f"  failures [{label}] {err}: {count}")

@@ -8,6 +8,8 @@
   deliberately wrong one (a fugacity off by 1e-6 relative, an h value
   outside its certified bound, a broken heat trace or occupancy sum, a
   shifted disk level);
+* an op that raises anything but the library's ConfinedGasError makes the
+  run incorrect, while a library refusal only counts as failed;
 * a tiny run of every workload, plain and traced, prints every metric of
   BENCHMARK.json with its unit;
 * in a directory holding only BENCHMARK.json and this directory, the
@@ -26,6 +28,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -37,6 +40,7 @@ import numpy as np  # noqa: E402
 
 import reference  # noqa: E402
 import run  # noqa: E402
+import worker  # noqa: E402
 from workloads import WORKLOADS, _check_disk_zeros  # noqa: E402
 
 FAILURES: list[str] = []
@@ -82,8 +86,8 @@ def check_tables(lib) -> None:
         ops = [op for op in _first_ops(name, 24) if op.label != "1-z < 1e-5"][:8]
         for op in ops:
             try:
-                out = w.run(lib, op)
-            except Exception as exc:  # the library refused: nothing to check
+                out = worker.run_table(lib, op.inputs)
+            except lib.errors.ConfinedGasError as exc:  # refused: nothing to check
                 print(f"    (library refused {op.label} with {type(exc).__name__})")
                 continue
             expect(w.check(op, out) is None, f"accepts the library's row at z={out[0]!r}")
@@ -98,7 +102,7 @@ def check_specfun(lib) -> None:
     w = WORKLOADS["specfun-cli"]
     tested = 0
     for op in _first_ops("specfun-cli", 40):
-        out = w.run(lib, op)
+        out = worker.run_specfun(lib, op.inputs)
         if w.failure(out) is not None:
             continue
         tested += 1
@@ -116,7 +120,7 @@ def check_specfun(lib) -> None:
             break
     refused = next(op for op in _first_ops("specfun-cli", 64)
                    if op.label == "bose 1-z < 1e-6" and op.expect["twice"] == 5)
-    expect(w.failure(w.run(lib, refused)) is not None,
+    expect(w.failure(worker.run_specfun(lib, refused.inputs)) is not None,
            "counts a Bose grid past 1 - 1e-6 as a failure")
 
 
@@ -126,7 +130,7 @@ def check_oracle(lib) -> None:
     ops = _first_ops("oracle-spectra", 5)
     disk, rect = ops[0], ops[1]
     for op in (disk, rect):
-        out = w.run(lib, op)
+        out = worker.run_oracle(lib, op.inputs)
         expect(w.check(op, out) is None, f"accepts the {op.label} spectrum")
         bad = dict(out, thetas=[out["thetas"][0] + 0.1] + out["thetas"][1:])
         expect(w.check(op, bad) is not None, "rejects a heat trace 0.1 off")
@@ -135,11 +139,32 @@ def check_oracle(lib) -> None:
         row = out["row"]
         bad = dict(out, row=row[:3] + (row[3] * (1 + 1e-9),) + row[4:])
         expect(w.check(op, bad) is not None, "rejects thermo_2d with S != (U-F)/T")
-    out = w.run(lib, disk)
+    out = worker.run_oracle(lib, disk.inputs)
     mu = out["mu"].copy()
     mu[len(mu) // 2] *= 1.0 + 1e-9
     expect(_check_disk_zeros(disk.inputs["shape"][1], disk.inputs["cutoff"], mu, out["mult"])
            is not None, "rejects a disk level 1e-9 away from scipy's Bessel zero")
+
+
+def check_unexpected_errors(lib) -> None:
+    print("failure accounting")
+    w = WORKLOADS["table-fermi-degenerate"]
+    for raised, counts_wrong in ((ZeroDivisionError("float division by zero"), True),
+                                 (lib.errors.NoBracketError("no bracket"), False)):
+        def call(lib, inputs, raised=raised):
+            time.sleep(0.01)  # so that one chunk fills the loop's time
+            raise raised
+
+        executor = run.InProcess(w, lib)
+        executor.call = call
+        record = run.Pass(w)
+        run.Loop(w, executor, 1, keep_ops=False).run_for(0.05, record)
+        n = len(record.verdicts)
+        failed = sum(1 for v in record.verdicts if not v[0])
+        name = type(raised).__name__
+        expect(n >= 1 and failed == n and record.wrong == (n if counts_wrong else 0),
+               f"an op raising {name}: {failed} of {n} failed, {record.wrong} wrong, "
+               f"so correct is {record.wrong == 0}")
 
 
 def _run(argv, cwd) -> subprocess.CompletedProcess:
@@ -184,11 +209,12 @@ def check_bare_directory() -> None:
 
 
 def main() -> int:
-    lib = run.load_library()
+    lib = worker.load_library(run.SRC, set().union(*worker.MODULES.values()))
     check_references()
     check_tables(lib)
     check_specfun(lib)
     check_oracle(lib)
+    check_unexpected_errors(lib)
     check_runs()
     check_bare_directory()
     print(f"{len(FAILURES)} failed" if FAILURES else "all self-tests passed")

@@ -117,9 +117,11 @@ class Tracer:
                     if value is original:
                         setattr(module, attr, wrapper)
                         self._restore.append((module, attr, original))
-        group = lib.cli.main
-        group.main = self.wrap("cli.main", type(group).main.__get__(group))
-        self._restore.append((group, "main", None))
+        cli = getattr(lib, "cli", None)
+        if cli is not None:
+            group = cli.main
+            group.main = self.wrap("cli.main", type(group).main.__get__(group))
+            self._restore.append((group, "main", None))
 
     def uninstall(self) -> None:
         for target, attr, original in reversed(self._restore):

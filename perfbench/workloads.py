@@ -7,14 +7,17 @@ of operations covers every stratum once, in random order) so that two seeds
 give the same cost mix and only the values inside each stratum differ.
 
 Expected answers come from ``reference`` (mpmath), never from the library.
-An operation returns its output; ``check`` compares it with the expectation
-after the timed loop and returns ``None`` or the reason it failed.
+An operation's library calls are in ``worker``; ``check`` compares their
+output with the expectation after the timed loop and returns ``None`` or the
+reason it failed.
+
+Where the mix follows a documented use, the source is named beside it; the
+rest is a choice of this benchmark, said so in place.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -148,12 +151,12 @@ def _cells(lo: float, hi: float, count: int, label: str) -> list[tuple]:
 class TableWorkload:
     """One op is one table row: ``thermo_2d`` or ``thermo_3d`` (30% tubes).
 
-    Each block of ops visits every target cell once in random order; the
+    Tube lengths are 150-400 sqrt(area), around the Lz = 500 on disk:1
+    (282 sqrt(area)) of the CLI's tube tests and ``verify``.  Each block of ops visits every target cell once in random order; the
     cell and block number fix whether the row is a tube, the shape kind and
     the wavelength stratum, so every seed runs the same mix of costs.
     """
 
-    modules = ("confinedgas.geometry", "confinedgas.thermo")
     chunk = 16  # ops between two calibration samples
 
     def __init__(self, stat: str):
@@ -188,22 +191,12 @@ class TableWorkload:
             if eq["N"] > 0.0 and eq["slope"] > 0.0:
                 tol_z = 1.5 * (eq["allowed"] + eq["ref_err"]) / eq["slope"] + 8.0 * 2.2e-16 * z
                 return Op(
-                    inputs={"shape": text, "T": T, "Lz": lz, "N": eq["N"]},
+                    inputs={"stat": self.stat, "shape": text, "T": T, "Lz": lz,
+                            "N": eq["N"]},
                     expect={"z": z, "tol_z": tol_z, "shape": shape, "slope": eq["slope"]},
                     label=label,
                 )
         raise RuntimeError(f"no admissible state for z={z!r}")
-
-    def run(self, lib, op: Op):
-        inp = op.inputs
-        dom = lib.geometry.make_domain(lib.geometry.parse_shape(inp["shape"]))
-        stat = lib.statfun.StatKind(self.stat)
-        if inp["Lz"] is None:
-            rep = lib.thermo.thermo_2d(stat, dom, inp["N"], inp["T"])
-        else:
-            tube = lib.geometry.TubeDomain(dom, inp["Lz"])
-            rep = lib.thermo.thermo_3d(stat, tube, inp["N"], inp["T"])
-        return (rep.state.z, rep.U, rep.F, rep.S, rep.C_V, rep.P)
 
     def check(self, op: Op, out) -> str | None:
         z, U, F, S, C_V, P = out
@@ -229,7 +222,10 @@ class FermiDegenerate(TableWorkload):
     """Target fugacities log-uniform on [1, 1e4]."""
 
     name = "table-fermi-degenerate"
-    wavelength_ratio = (0.01, 0.1)  # lambda / sqrt(area)
+    #: lambda / sqrt(area): from just below the acceptance solver grid
+    #: (disk:1, T 2500-25000: 0.009-0.028) up to the README's ``solve``
+    #: example (rect:4,1 at T = 157.08: 0.1), half the warning threshold 0.2.
+    wavelength_ratio = (0.01, 0.1)
 
     def __init__(self):
         super().__init__("fermi")
@@ -247,6 +243,8 @@ class BoseCondensation(TableWorkload):
     """1-z log-uniform: two thirds on [1e-5, 1e-1], one third on [1e-11, 1e-5)."""
 
     name = "table-bose-condensation"
+    #: The README's Bose ``table`` example (disk:1, T 500-5000: 0.020-0.063)
+    #: up to its ``solve`` example (0.1).
     wavelength_ratio = (0.02, 0.1)
     chunk = 4
 
@@ -269,14 +267,15 @@ class BoseCondensation(TableWorkload):
 #: verify's heat-trace tolerances on |theta - Weyl| per shape, with the
 #: constant term each shape's exact expansion has (corners give 1/4).
 THETA_TOLERANCE = {"disk": (1.0 / 6.0, 0.03), "annulus": (0.0, 0.05), "rect": (0.25, 0.005)}
-ORACLE_CYCLE = ("disk", "rect", "annulus", "disk", "rect")
+#: One of each shape in turn, as ``verify --suite all`` builds them (disk:1,
+#: annulus:1,2 at cutoff 320, the unit square at cutoff 500).
+ORACLE_CYCLE = ("disk", "rect", "annulus")
 
 
 class OracleSpectra:
     """One op: an exact spectrum, its theta sums and exact_thermo vs thermo_2d."""
 
     name = "oracle-spectra"
-    modules = ("confinedgas.geometry", "confinedgas.spectral", "confinedgas.thermo")
     chunk = 1
 
     def generator(self, rng: np.random.Generator):
@@ -321,30 +320,6 @@ class OracleSpectra:
                 label=kind,
             )
             index += 1
-
-    def run(self, lib, op: Op):
-        inp = op.inputs
-        shape, spectral = inp["shape"], lib.spectral
-        t0 = lib.clock()
-        if shape[0] == "disk":
-            spec = spectral.disk_spectrum(shape[1], inp["cutoff"])
-        elif shape[0] == "annulus":
-            spec = spectral.annulus_spectrum(shape[1], shape[2], inp["cutoff"])
-        else:
-            spec = spectral.rectangle_spectrum(shape[1], shape[2], inp["cutoff"])
-        build_s = lib.clock() - t0
-        thetas = [spectral.theta_sum(spec, t)[0] for t in inp["ts"]]
-        stat = lib.statfun.StatKind(inp["stat"])
-        z_exact, _, u_exact = spectral.exact_thermo(stat, spec, inp["N"], inp["T"])
-        text = {"disk": "disk:{1!r}", "annulus": "annulus:{1!r},{2!r}",
-                "rect": "rect:{1!r},{2!r}"}[shape[0]].format(*shape)
-        dom = lib.geometry.make_domain(lib.geometry.parse_shape(text))
-        rep = lib.thermo.thermo_2d(stat, dom, inp["N"], inp["T"])
-        return {
-            "mu": spec.mu, "mult": spec.multiplicity, "levels": spec.count,
-            "build_s": build_s, "thetas": thetas, "z_exact": z_exact, "U_exact": u_exact,
-            "row": (rep.state.z, rep.U, rep.F, rep.S, rep.C_V, rep.P),
-        }
 
     def check(self, op: Op, out) -> str | None:
         inp = op.inputs
@@ -416,13 +391,15 @@ def _check_disk_zeros(radius: float, cutoff: float, mu, mult) -> str | None:
 # ---------------------------------------------------------------------------
 
 ORDER_TEXT = {-2: "-1", -1: "-1/2", 0: "0", 1: "1/2", 2: "1", 3: "3/2", 4: "2", 5: "5/2"}
+#: Grid sizes of the documented requests: the CLI test (5 points), the
+#: README example (9) and a 40-point table grid (README ``table`` example).
+GRID_POINTS = (5, 9, 40)
 
 
 class SpecfunCli:
     """One op is one ``specfun --z-grid`` request through ``cli.main``."""
 
     name = "specfun-cli"
-    modules = ("confinedgas.cli",)
     chunk = 64
 
     def generator(self, rng: np.random.Generator):
@@ -432,9 +409,10 @@ class SpecfunCli:
         while True:
             twice = reference.ALL_ORDERS[index % 8]
             stat = ("bose", "fermi")[(index // 8) % 2]
-            n = int(rng.integers(2, 7))
+            n = GRID_POINTS[(index // 16) % len(GRID_POINTS)]
             if stat == "bose":
-                # A quarter of Bose grids reach 1-z in [1e-9, 1e-7].
+                # A choice of this benchmark: grids start at 1-z in [1e-2, 0.5],
+                # and a quarter of them reach 1-z in [1e-9, 1e-7].
                 w_lo = _log_uniform(reach.draw(), 1e-2, 0.5)
                 if index % 64 < 8:
                     w_hi = _log_uniform(rng.random(), 1e-9, 1e-7)
@@ -443,7 +421,9 @@ class SpecfunCli:
                 lo, hi = 1.0 - w_lo, 1.0 - w_hi
                 label = "bose 1-z < 1e-6" if w_hi < 1e-6 else "bose 1-z >= 1e-6"
             else:
-                lo = _log_uniform(reach.draw(), 1e-3, 50.0)
+                # Fermi z spans 1e-4..1e3, as in the acceptance solver grid;
+                # the grid widths (0.2-1.5 decades) are this benchmark's choice.
+                lo = _log_uniform(reach.draw(), 1e-4, 50.0)
                 hi = float(min(lo * 10.0 ** (0.2 + 1.3 * spread.draw()), 1e3))
                 label = "fermi"
             grid = f"{lo!r}:{hi!r}:{n}"
@@ -454,16 +434,6 @@ class SpecfunCli:
                 label=label,
             )
             index += 1
-
-    def run(self, lib, op: Op):
-        out, err = io.StringIO(), io.StringIO()
-        code = 0
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                lib.cli.main.main(args=op.inputs["args"], prog_name="confinedgas")
-            except SystemExit as exc:
-                code = exc.code if isinstance(exc.code, int) else (0 if exc.code is None else 1)
-        return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
     def check(self, op: Op, out) -> str | None:
         exp = op.expect
