@@ -334,8 +334,36 @@ def timed_run(workload, seconds: float, seed: int, out: list[str]):
     return values, record, record.wrong
 
 
+def defect_probe(workload, lib, seed: int, out: list[str]) -> tuple[dict, int]:
+    """Run the workload's probe states once, untimed, and count refusals.
+
+    The probe holds states inside the library's documented domain that it
+    refuses today (see the workload's ``probe``), so a known defect stays
+    visible although no timed op may fail.  Returns the two
+    ``defects.*`` metrics and the number of wrong answers.
+    """
+    record = Pass(workload)
+    probe = getattr(workload, "probe", None)
+    if probe is not None:
+        rng = np.random.default_rng([seed, sorted(WORKLOADS).index(workload.name), 1])
+        call = worker.CALLS[workload.name]
+        for op, _ in zip(probe(rng), range(workload.probe_ops)):
+            record.add(op, *worker.execute(lib, call, op.inputs), 1.0)
+    n = len(record.verdicts)
+    refused = sum(1 for v in record.verdicts if not v[0])
+    kinds = ", ".join(f"[{label}] {err}: {count}"
+                      for (label, err), count in sorted(record.failures.items()))
+    if probe is None:
+        out.append("  defect probe: none for this workload")
+    else:
+        out.append(f"  defect probe, untimed: {refused} of {n} in-domain states refused"
+                   + (f" ({kinds})" if kinds else ""))
+    return {"defects.probe_ops": n, "defects.probe_refused": refused}, record.wrong
+
+
 def traced_run(workload, seconds: float, seed: int, out: list[str]):
-    """Traced run: import breakdown, then spans over a replay of the ops."""
+    """Traced run: import breakdown, spans over a replay of the ops, and the
+    defect probe."""
     values = tracing.import_breakdown(sys.executable, import_code(workload),
                                       os.environ.copy(), str(ROOT))
     lib = worker.load_library(SRC, worker.MODULES[workload.name])
@@ -363,11 +391,13 @@ def traced_run(workload, seconds: float, seed: int, out: list[str]):
                f"{plain_wall:.6g} s untraced, overhead {wall - plain_wall:+.6g} s; "
                f"{extra['spans']} spans")
     out.append(f"  h routes {extra['routes']}; raised {extra['raised']}")
+    probe_values, probe_wrong = defect_probe(workload, lib, seed, out)
+    values.update(probe_values)
     for name, value in values.items():
         out.append(f"  {name:<34} {value!r}")
     agree = first.digests == record.digests == plain.digests
     out.append(f"  answers identical across the three passes: {agree}")
-    return values, record, first.wrong + record.wrong + plain.wrong + (not agree)
+    return values, record, first.wrong + record.wrong + plain.wrong + probe_wrong + (not agree)
 
 
 def main(argv=None) -> int:

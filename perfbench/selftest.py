@@ -8,6 +8,8 @@
   deliberately wrong one (a fugacity off by 1e-6 relative, an h value
   outside its certified bound, a broken heat trace or occupancy sum, a
   shifted disk level);
+* the first ops of every workload are not refused, while a Bose grid of
+  the specfun probe that passes 1 - 1e-6 is;
 * an op that raises anything but the library's ConfinedGasError makes the
   run incorrect, while a library refusal only counts as failed;
 * a tiny run of every workload, plain and traced, prints every metric of
@@ -83,12 +85,11 @@ def check_tables(lib) -> None:
     for name in ("table-fermi-degenerate", "table-bose-condensation"):
         print(f"{name} checker")
         w = WORKLOADS[name]
-        ops = [op for op in _first_ops(name, 24) if op.label != "1-z < 1e-5"][:8]
-        for op in ops:
+        for op in _first_ops(name, 8):
             try:
                 out = worker.run_table(lib, op.inputs)
-            except lib.errors.ConfinedGasError as exc:  # refused: nothing to check
-                print(f"    (library refused {op.label} with {type(exc).__name__})")
+            except lib.errors.ConfinedGasError as exc:
+                expect(False, f"library refused a {op.label} row with {type(exc).__name__}")
                 continue
             expect(w.check(op, out) is None, f"accepts the library's row at z={out[0]!r}")
             z_off = out[0] * (1.0 + 1e-6)
@@ -104,6 +105,7 @@ def check_specfun(lib) -> None:
     for op in _first_ops("specfun-cli", 40):
         out = worker.run_specfun(lib, op.inputs)
         if w.failure(out) is not None:
+            expect(False, f"library refused {' '.join(op.inputs['args'][1:])}")
             continue
         tested += 1
         expect(w.check(op, out) is None, f"accepts {' '.join(op.inputs['args'][1:])}")
@@ -118,8 +120,8 @@ def check_specfun(lib) -> None:
         expect(w.check(op, loose) is not None, "rejects a bound that misses the 1e-10 contract")
         if tested == 6:
             break
-    refused = next(op for op in _first_ops("specfun-cli", 64)
-                   if op.label == "bose 1-z < 1e-6" and op.expect["twice"] == 5)
+    refused = next(op for op in w.probe(np.random.default_rng(11))
+                   if op.expect["twice"] == 5 and op.expect["grid"][1] > 1.0 - 1e-6)
     expect(w.failure(worker.run_specfun(lib, refused.inputs)) is not None,
            "counts a Bose grid past 1 - 1e-6 as a failure")
 

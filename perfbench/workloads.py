@@ -13,11 +13,17 @@ reason it failed.
 
 Where the mix follows a documented use, the source is named beside it; the
 rest is a choice of this benchmark, said so in place.
+
+No timed op may be refused, so in-domain states that the library refuses
+today are left out of the timed mix.  A workload that leaves some out has a
+``probe`` that draws them; the traced run counts how many are refused, so
+the defect stays visible until it is fixed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -106,19 +112,44 @@ def _h_ref(stat: str, twice: int, z: float) -> tuple[mpmath.mpf, float]:
 # table rows (thermo_2d / thermo_3d): shared by the Fermi and Bose workloads
 # ---------------------------------------------------------------------------
 
+def _model(shape: tuple, T: float, lz: float | None) -> tuple[tuple, tuple, tuple]:
+    """Weyl coefficients of N(z), the orders of N and of z dN/dz (twice sigma)."""
+    area, perim, holes = weyl_descriptors(shape)
+    lam = mpmath.sqrt(2 * mpmath.pi / mpmath.mpf(T))
+    if lz is None:
+        coeffs = (area / lam**2, -perim / (4 * lam), mpmath.mpf(1 - holes) / 6)
+        return coeffs, (2, 1, 0), (0, -1, -2)
+    lz = mpmath.mpf(lz)
+    coeffs = (lz * area / lam**3, -lz * perim / (4 * lam**2),
+              mpmath.mpf(1 - holes) / 6 * lz / lam)
+    return coeffs, (3, 2, 1), (1, 0, -1)
+
+
+def bose_increasing(shape: tuple, T: float, lz: float | None, z: float) -> bool:
+    """Whether the reference Bose N(x) increases on all of (0, 1 - (1-z)/2].
+
+    A solver that brackets the root by walking x up from below, halving
+    1 - x per step at most, then never meets a falling N below the target.
+    The slope is sampled at 0.1, 0.25 and at half-octave steps of 1 - x
+    from 1/2 down to (1-z)/2, nearest the condensation point first.
+    """
+    with mpmath.workdps(30):
+        coeffs, _, d_orders = _model(shape, T, lz)
+    coeffs = [float(c) for c in coeffs]
+    gaps = [(1.0 - z) / 2.0]
+    while gaps[-1] * math.sqrt(2.0) < 0.5:
+        gaps.append(gaps[-1] * math.sqrt(2.0))
+    for x in [1.0 - g for g in gaps] + [0.5, 0.25, 0.1]:
+        terms = [c * reference.h("bose", o, x)[0] for c, o in zip(coeffs, d_orders)]
+        if not math.fsum(terms) > 1e-9 * sum(abs(t) for t in terms):
+            return False
+    return True
+
+
 def table_equation(stat: str, shape: tuple, T: float, lz: float | None, z: float) -> dict:
     """Reference N(z), dN/dz and the tolerance the solver may use, at z."""
     with mpmath.workdps(30):
-        area, perim, holes = weyl_descriptors(shape)
-        lam = mpmath.sqrt(2 * mpmath.pi / mpmath.mpf(T))
-        if lz is None:
-            coeffs = (area / lam**2, -perim / (4 * lam), mpmath.mpf(1 - holes) / 6)
-            n_orders, d_orders = (2, 1, 0), (0, -1, -2)
-        else:
-            lz = mpmath.mpf(lz)
-            coeffs = (lz * area / lam**3, -lz * perim / (4 * lam**2),
-                      mpmath.mpf(1 - holes) / 6 * lz / lam)
-            n_orders, d_orders = (3, 2, 1), (1, 0, -1)
+        coeffs, n_orders, d_orders = _model(shape, T, lz)
         n_value = mpmath.mpf(0)
         z_slope = mpmath.mpf(0)
         ref_err = 0.0
@@ -162,8 +193,8 @@ class TableWorkload:
     def __init__(self, stat: str):
         self.stat = stat
 
-    def generator(self, rng: np.random.Generator):
-        cells = self.cells()
+    def generator(self, rng: np.random.Generator, cells=None, dip: bool = False):
+        cells = cells or self.cells()
         block = 0
         while True:
             for j in rng.permutation(len(cells)):
@@ -173,11 +204,15 @@ class TableWorkload:
                 first = (j + block) % 3
                 ratio_u = ((5 * j + block) % 8 + 0.5 + 0.04 * (rng.random() - 0.5)) / 8.0
                 yield self._admissible(rng, z, tube, KINDS[first:] + KINDS[:first], ratio_u,
-                                       label)
+                                       label, dip)
             block += 1
 
-    def _admissible(self, rng, z, tube, kinds, ratio_u, label) -> Op:
-        """A state whose reference N(z) is positive and increasing at z."""
+    def _admissible(self, rng, z, tube, kinds, ratio_u, label, dip=False) -> Op:
+        """A state whose reference N(z) is positive and increasing at z.
+
+        Bose N must also increase everywhere below z (``bose_increasing``),
+        or with ``dip`` must fall somewhere below z.
+        """
         for attempt in range(60):
             # The first draw stays near the cell's nominal state, so every seed
             # runs nearly the same mix of states; redraws roam the full range.
@@ -188,7 +223,8 @@ class TableWorkload:
             T = 2.0 * math.pi / (ratio**2 * area)
             lz = math.sqrt(area) * float(rng.uniform(150.0, 400.0)) if tube else None
             eq = table_equation(self.stat, shape, T, lz, z)
-            if eq["N"] > 0.0 and eq["slope"] > 0.0:
+            if eq["N"] > 0.0 and eq["slope"] > 0.0 and (
+                    self.stat == "fermi" or bose_increasing(shape, T, lz, z) != dip):
                 tol_z = 1.5 * (eq["allowed"] + eq["ref_err"]) / eq["slope"] + 8.0 * 2.2e-16 * z
                 return Op(
                     inputs={"stat": self.stat, "shape": text, "T": T, "Lz": lz,
@@ -240,20 +276,36 @@ class FermiDegenerate(TableWorkload):
 
 
 class BoseCondensation(TableWorkload):
-    """1-z log-uniform: two thirds on [1e-5, 1e-1], one third on [1e-11, 1e-5)."""
+    """1-z log-uniform on [5e-5, 1e-1], where N(z) increases up to the target.
+
+    Two kinds of in-domain state are refused today, and a run's ops must not
+    fail, so neither is timed.  Closer to z = 1 the solver refuses every
+    state (ROADMAP, open item 2: the h series cannot be certified past
+    1 - z = 1.5e-5, which the solver's walk reaches from targets below about
+    3e-5).  Where N(z) dips below the target, the walk can stop at the dip.
+    ``probe`` draws half its states from each kind, and the traced run
+    counts the solver's refusals of them.
+    """
 
     name = "table-bose-condensation"
     #: The README's Bose ``table`` example (disk:1, T 500-5000: 0.020-0.063)
     #: up to its ``solve`` example (0.1).
     wavelength_ratio = (0.02, 0.1)
     chunk = 4
+    probe_ops = 12
 
     def __init__(self):
         super().__init__("bose")
 
     @staticmethod
     def cells():
-        return _cells(1e-5, 1e-1, 64, "1-z >= 1e-5") + _cells(1e-11, 1e-5, 32, "1-z < 1e-5")
+        return _cells(5e-5, 1e-1, 64, "1-z in [5e-5, 0.1]")
+
+    def probe(self, rng: np.random.Generator):
+        half = self.probe_ops // 2
+        deep = self.generator(rng, _cells(1e-11, 3e-5, half, "1-z < 3e-5"))
+        dips = self.generator(rng, _cells(5e-5, 1e-3, half, "N dips below z"), dip=True)
+        return itertools.chain(itertools.islice(deep, half), itertools.islice(dips, half))
 
     @staticmethod
     def fugacity(x: float) -> float:
@@ -307,7 +359,13 @@ class OracleSpectra:
             # N is the model's particle number at a fugacity on its increasing
             # branch, so (N, T) is inside the asymptotic model's domain too.
             for _ in range(200):
-                z = float(rng.uniform(0.2, 0.7) if stat == "bose" else rng.uniform(0.5, 6.0))
+                if stat == "bose":
+                    z = float(rng.uniform(0.2, 0.7))
+                    eq = table_equation(stat, shape, T, None, z)
+                    if eq["N"] > 0.0 and bose_increasing(shape, T, None, z):
+                        break
+                    continue
+                z = float(rng.uniform(0.5, 6.0))
                 eq = table_equation(stat, shape, T, None, z)
                 if eq["N"] > 0.0 and all(table_equation(stat, shape, T, None, x)["slope"] > 0.0
                                          for x in (z, 0.5 * z, 0.1 * z)):
@@ -397,29 +455,39 @@ GRID_POINTS = (5, 9, 40)
 
 
 class SpecfunCli:
-    """One op is one ``specfun --z-grid`` request through ``cli.main``."""
+    """One op is one ``specfun --z-grid`` request through ``cli.main``.
+
+    Bose grids stop at 1-z = 1e-4: the series orders raise AccuracyError
+    from about 4e-5 on (ROADMAP, open item 2), and a run's ops must not
+    fail.  ``probe`` draws Bose grids that reach 1-z in [1e-9, 3e-5), and
+    the traced run counts how many of them the CLI refuses.
+    """
 
     name = "specfun-cli"
     chunk = 64
+    probe_ops = 16
 
-    def generator(self, rng: np.random.Generator):
+    def probe(self, rng: np.random.Generator):
+        return self.generator(rng, deep=True)
+
+    def generator(self, rng: np.random.Generator, deep: bool = False):
         reach = Strata(rng, 8)
         spread = Strata(rng, 8)
         index = 0
         while True:
             twice = reference.ALL_ORDERS[index % 8]
-            stat = ("bose", "fermi")[(index // 8) % 2]
+            stat = "bose" if deep else ("bose", "fermi")[(index // 8) % 2]
             n = GRID_POINTS[(index // 16) % len(GRID_POINTS)]
             if stat == "bose":
-                # A choice of this benchmark: grids start at 1-z in [1e-2, 0.5],
-                # and a quarter of them reach 1-z in [1e-9, 1e-7].
+                # A choice of this benchmark: grids start at 1-z in [1e-2, 0.5]
+                # and span 0.5-2 decades of 1-z.
                 w_lo = _log_uniform(reach.draw(), 1e-2, 0.5)
-                if index % 64 < 8:
-                    w_hi = _log_uniform(rng.random(), 1e-9, 1e-7)
+                if deep:
+                    w_hi = _log_uniform(spread.draw(), 1e-9, 3e-5)
                 else:
-                    w_hi = w_lo * 10.0 ** (-0.5 - 2.5 * spread.draw())
+                    w_hi = w_lo * 10.0 ** (-0.5 - 1.5 * spread.draw())
                 lo, hi = 1.0 - w_lo, 1.0 - w_hi
-                label = "bose 1-z < 1e-6" if w_hi < 1e-6 else "bose 1-z >= 1e-6"
+                label = "bose 1-z < 3e-5" if deep else "bose"
             else:
                 # Fermi z spans 1e-4..1e3, as in the acceptance solver grid;
                 # the grid widths (0.2-1.5 decades) are this benchmark's choice.
