@@ -28,8 +28,7 @@ from .statfun import (
     bose_limit_at_unity,
     eval_h,
     eval_h_closed_form,
-    eval_h_quadrature,
-    eval_h_recurrence,
+    eval_h_inversion,
     eval_h_series,
 )
 from .geometry import (
@@ -42,7 +41,6 @@ from .geometry import (
     Rectangle,
     ShapeSpec,
     TubeDomain,
-    UnitSystem,
     free_plane,
     make_domain,
     parse_shape,

@@ -115,11 +115,11 @@ def _parse_stat(text: str) -> StatKind:
 
 
 def _parse_order(text: str) -> Order:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/")
-        return Order.of(float(num) / float(den))
-    return Order.of(float(text))
+    num, sep, den = text.strip().partition("/")
+    try:
+        return Order.of(float(num) / float(den) if sep else float(num))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise DomainError(f"order {text!r}: expected a number or p/q ({exc})") from exc
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -127,12 +127,23 @@ def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid {text!r}: expected lo:hi:n")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise DomainError(f"grid {text!r}: expected lo:hi:n ({exc})") from exc
     if n < 1:
         raise DomainError(f"grid {text!r}: need n >= 1")
     if n == 1:
         return [lo]
     return list(np.linspace(lo, hi, n))
+
+
+def _parse_t_list(text: str) -> list[float]:
+    """Comma-separated heat-kernel times, largest first."""
+    try:
+        return sorted((float(s) for s in text.split(",")), reverse=True)
+    except ValueError as exc:
+        raise DomainError(f"t-list {text!r}: expected comma-separated numbers ({exc})") from exc
 
 
 def _default_threads() -> int:
@@ -165,7 +176,10 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True))
 def cmd_specfun(stat, order_text, z_value, z_grid, fmt, out):
-    """Evaluate h_sigma(z): columns z, value, error_bound, method."""
+    """Evaluate h_sigma(z): columns z, value, error_bound, method.
+
+    method is ClosedForm, Series or Inversion (Fermi z > 0.99).
+    """
     try:
         kind = _parse_stat(stat)
         order = _parse_order(order_text)
@@ -530,7 +544,7 @@ def cmd_verify(suite, t_list_text, report_path, threads):
     Columns: case, t, measured, tolerance, status (pass/fail/info).
     """
     try:
-        t_list = sorted((float(s) for s in t_list_text.split(",")), reverse=True)
+        t_list = _parse_t_list(t_list_text)
         rows: list[dict] = []
         suites = []
         if suite in ("heatkernel", "all"):

@@ -24,8 +24,6 @@ from typing import Union
 from .errors import DomainError, GeometryError, ModelError
 
 __all__ = [
-    "UnitSystem",
-    "NATURAL_UNITS",
     "PlanarDomain",
     "TubeDomain",
     "Rectangle",
@@ -42,18 +40,6 @@ __all__ = [
     "parse_shape",
     "polygon_spec_from_text",
 ]
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Natural units; fixed constants, no runtime conversion."""
-
-    hbar: float = 1.0
-    mass: float = 1.0
-    boltzmann: float = 1.0
-
-
-NATURAL_UNITS = UnitSystem()
 
 
 class AspectRatioWarning(UserWarning):
@@ -400,6 +386,15 @@ def parse_shape(text: str) -> ShapeSpec:
     if not sep:
         raise GeometryError(f"shape {text!r}: expected kind:args")
     kind = kind.strip().lower()
+    try:
+        return _parse_shape_args(text, kind, arg)
+    except ValueError as exc:
+        raise GeometryError(f"shape {text!r}: {exc}") from exc
+    except OSError as exc:
+        raise GeometryError(f"shape {text!r}: cannot read polygon file ({exc})") from exc
+
+
+def _parse_shape_args(text: str, kind: str, arg: str) -> ShapeSpec:
     if kind == "free":
         return FreePlane(float(arg))
     if kind in ("rect", "rectangle"):

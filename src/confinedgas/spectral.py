@@ -80,9 +80,6 @@ class Spectrum:
     def count(self) -> int:
         return int(self.multiplicity.sum())
 
-    def eigenvalues(self) -> list[tuple[float, int]]:
-        return [(float(m), int(g)) for m, g in zip(self.mu, self.multiplicity)]
-
 
 def _weyl_count(shape: ShapeSpec, mu: float) -> float:
     """Two-term Weyl estimate of the number of states with eigenvalue <= mu."""

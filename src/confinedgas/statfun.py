@@ -20,17 +20,16 @@ selection:
 * exact closed forms for sigma in {1, 0, -1};
 * the defining power series for 0 < z <= 0.99 (and for all Bose z < 1,
   where the series is the only convergent representation);
-* adaptive quadrature on the integral representation for Fermi z > 0.99
-  with sigma > 0;
-* for Fermi z > 0.99 with sigma = -1/2, the order-lowering recurrence
-  h_(sigma-1)(z) = z * d/dz h_sigma(z) applied analytically under the
-  integral sign (never by numerical differencing).
+* exact inversion formulas for Fermi z > 0.99: Jonquiere's formula with an
+  Euler-Maclaurin Hurwitz zeta for the half-integer orders, and the
+  dilogarithm inversion with Landen's identity for sigma = 2.
 
 All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -38,7 +37,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import AccuracyError, DomainError
 
@@ -62,8 +60,7 @@ __all__ = [
     "eval_h",
     "eval_h_closed_form",
     "eval_h_series",
-    "eval_h_quadrature",
-    "eval_h_recurrence",
+    "eval_h_inversion",
     "bose_limit_at_unity",
 ]
 
@@ -80,9 +77,9 @@ FERMI_Z_MAX = 1e8
 #: Default cap on the number of series terms before giving up.
 SERIES_TERM_CAP = 10**6
 
-#: Fermi evaluations switch from series to quadrature above this z.  The
-#: geometric tail bound of the series degrades like 1/(1-z), so pushing the
-#: series further buys nothing once the integral representation is smooth.
+#: Fermi evaluations switch from series to the inversion formulas above this
+#: z.  The geometric tail bound of the series degrades like 1/(1-z), while
+#: the inversion formulas cost the same for every z.
 METHOD_SWITCH_Z = 0.99
 
 # Riemann zeta at the orders with a finite Bose z->1 limit.
@@ -168,8 +165,7 @@ ALL_ORDERS = (MINUS_ONE, MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, TWO, FIVE_HA
 class Method(enum.Enum):
     CLOSED_FORM = "ClosedForm"
     SERIES = "Series"
-    QUADRATURE = "Quadrature"
-    ORDER_RECURRENCE = "OrderRecurrence"
+    INVERSION = "Inversion"
 
 
 @dataclass(frozen=True)
@@ -194,15 +190,6 @@ def _require_z_in_domain(stat: StatKind, z: float, z_max: float) -> None:
         raise DomainError(f"Bose fugacity z={z} > 1 has no meaning (condensation)")
     if stat is StatKind.FERMI and z > z_max:
         raise DomainError(f"Fermi fugacity z={z} exceeds the configured cap {z_max}")
-
-
-def _check_contract(value: float, bound: float, what: str) -> None:
-    if bound > max(ABS_CONTRACT, REL_CONTRACT * abs(value)):
-        raise AccuracyError(
-            f"{what}: achieved bound {bound:.3e} misses the accuracy contract "
-            f"for value {value:.6e}",
-            achieved=bound,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -320,89 +307,178 @@ def eval_h_series(
 
 
 # ---------------------------------------------------------------------------
-# quadrature on the integral representation (Fermi)
+# inversion formulas (Fermi)
 # ---------------------------------------------------------------------------
 
-def _fermi_occ(t: float) -> float:
-    """1/(e^t + 1), stable for any t."""
-    if t > 0.0:
-        e = math.exp(-t)
-        return e / (1.0 + e)
-    e = math.exp(t)
-    return 1.0 / (e + 1.0)
+# Bernoulli numbers B_2, B_4, ..., B_30 for the Euler-Maclaurin sum.
+_BERNOULLI_2J = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
+    Fraction(-236364091, 2730), Fraction(8553103, 6), Fraction(-23749461029, 870),
+    Fraction(8615841276005, 14322),
+)
+
+#: Direct terms N and Bernoulli terms M of the Euler-Maclaurin Hurwitz zeta.
+_EM_DIRECT = 6
+_EM_BERNOULLI = len(_BERNOULLI_2J)
+
+#: Rounding allowance per unit of eps * sum|terms|: <= 16 per term (square
+#: root, up to three complex products and one quotient), <= 8 for the
+#: additions and <= 8 for the prefactor and the final product.
+_EM_ROUNDING = 32.0
+
+#: Cap on the dilogarithm series; with y <= 1/2 the tail is below eps times
+#: the sum after 42 terms.
+_LANDEN_TERM_CAP = 48
+
+_PI2_6 = math.pi**2 / 6.0
 
 
-def _fermi_occ_deriv(t: float) -> float:
-    """e^t/(e^t + 1)^2 = occ(t) * occ(-t), stable for any t."""
-    if abs(t) > 745.0:
-        return 0.0
-    return _fermi_occ(t) * _fermi_occ(-t)
+def _rising(x: Fraction, n: int) -> Fraction:
+    """Pochhammer symbol (x)_n = x (x+1) ... (x+n-1)."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
 
 
-def eval_h_quadrature(stat: StatKind, sigma, z: float, z_max: float = FERMI_Z_MAX) -> FunctionValue:
-    """Adaptive quadrature of the Fermi integral representation, sigma > 0.
+@dataclass(frozen=True)
+class _Jonquiere:
+    """Constants of the inversion formula for one half-integer order s.
 
-    The substitution x = u^2 removes the x^(sigma-1) endpoint singularity:
+    ``root_power`` is -2 sigma with sigma = 1 - s, so that
+    p^(-sigma) = sqrt(p)^root_power; ``bernoulli`` holds the Euler-Maclaurin
+    coefficients B_2j/(2j)! (sigma)_(2j-1) highest j first, for Horner.
+    """
 
-        f_sigma(z) = 2/Gamma(sigma) * int_0^inf u^(2 sigma - 1) / (e^(u^2 - ln z) + 1) du
+    sigma: float
+    root_power: int
+    bernoulli: tuple[float, ...]
+    remainder: float
+    prefactor: complex
 
-    and the integrand is then smooth for every half-integer sigma > 0.  The
-    interval is split at the Fermi edge u = sqrt(ln z) for z > 1.
+
+def _jonquiere(order: Order) -> _Jonquiere:
+    s = Fraction(order.twice, 2)
+    sigma = 1 - s
+    n, m = _EM_DIRECT, _EM_BERNOULLI
+    coefs = [
+        float(b / math.factorial(2 * j) * _rising(sigma, 2 * j - 1))
+        for j, b in enumerate(_BERNOULLI_2J, start=1)
+    ]
+    # Johansson, Numer. Algorithms 69 (2015) 253, Theorem 1, with
+    # |a + t| >= Re(a) + t = t + 1/2 for every Im(a).
+    remainder = (
+        4.0 * abs(float(_rising(sigma, 2 * m))) / (2.0 * math.pi) ** (2 * m)
+        * (n + 0.5) ** float(1 - sigma - 2 * m) / float(sigma + 2 * m - 1)
+    )
+    # (2 pi)^s e^(i pi s/2) / Gamma(s); e^(i pi s/2) = (+-1 +-i)/sqrt(2) exactly.
+    quarter = order.twice % 8
+    phase = complex(1.0 if quarter in (1, 7) else -1.0, 1.0 if quarter in (1, 3) else -1.0)
+    scale = (2.0 * math.pi) ** float(s) / (math.sqrt(2.0) * math.gamma(float(s)))
+    return _Jonquiere(float(sigma), order.twice - 2, tuple(reversed(coefs)), remainder,
+                      scale * phase)
+
+
+_JONQUIERE = {o.twice: _jonquiere(o) for o in (MINUS_HALF, HALF, THREE_HALVES, FIVE_HALVES)}
+
+
+def _fermi_jonquiere(order: Order, z: float) -> tuple[float, float]:
+    """f_s(z) and an absolute error bound for half-integer s, any z > 0.
+
+    Jonquiere's inversion formula (DLMF 25.12.13) with a = 1/2 - i ln(z)/(2 pi):
+
+        f_s(z) = -Re[(2 pi)^s e^(i pi s/2) zeta(1-s, a)] / Gamma(s)
+
+    The formula's second term, e^(i pi s) Li_s(-1/z), is purely imaginary
+    for half-integer s, so taking the real part removes it.  zeta(sigma, a)
+    is summed by Euler-Maclaurin with N direct and M Bernoulli terms.
+    """
+    c = _JONQUIERE[order.twice]
+    t = math.log(z) / (2.0 * math.pi)
+    power = c.root_power
+    total = 0j
+    total_abs = 0.0
+    for k in range(_EM_DIRECT):
+        term = cmath.sqrt(complex(0.5 + k, -t)) ** power
+        total += term
+        total_abs += abs(term)
+    w = complex(0.5 + _EM_DIRECT, -t)
+    w_pow = cmath.sqrt(w) ** power
+    x = 1.0 / (w * w)
+    x_abs = abs(x)
+    poly = 0j
+    poly_abs = 0.0
+    for coef in c.bernoulli:
+        poly = poly * x + coef
+        poly_abs = poly_abs * x_abs + abs(coef)
+    # w^(1-sigma)/(sigma-1) + w^(-sigma)/2 + sum_j coef_j w^(-sigma-2j+1)
+    total += w_pow * (w / (c.sigma - 1.0) + 0.5 + poly / w)
+    w_abs = abs(w)
+    total_abs += abs(w_pow) * (w_abs / abs(c.sigma - 1.0) + 0.5 + poly_abs / w_abs)
+    value = -(c.prefactor * total).real
+    # t carries a relative rounding error <= 2 eps, and every term's
+    # a-derivative is at most 5 times the term (N = 6, M = 15).
+    rounding = (_EM_ROUNDING + 10.0 * abs(t)) * _EPS * total_abs
+    return value, abs(c.prefactor) * (c.remainder + rounding)
+
+
+def _fermi_dilog_landen(z: float) -> tuple[float, float]:
+    """f_2(z) = -Li_2(-z) and an absolute error bound, for 0 < z <= 1.
+
+    Landen's identity f_2(z) = Li_2(y) + ln^2(1+z)/2 with y = z/(1+z) <= 1/2
+    leaves a series whose tail after n terms is at most
+    y^(n+1) / ((n+1)^2 (1-y)).
+    """
+    y = z / (1.0 + z)
+    total = 0.0
+    power = 1.0
+    tail = math.inf
+    for k in range(1, _LANDEN_TERM_CAP + 1):
+        power *= y
+        total += power / (k * k)
+        tail = power * y / ((k + 1) ** 2 * (1.0 - y))
+        if tail <= _EPS * total:
+            break
+    log1p = math.log1p(z)
+    value = total + 0.5 * log1p * log1p
+    return value, tail + (2 * k + 4) * _EPS * value
+
+
+def _fermi_dilog(z: float) -> tuple[float, float]:
+    """f_2(z) for any z > 0: f_2(z) = pi^2/6 + ln^2(z)/2 - f_2(1/z) above 1."""
+    if z <= 1.0:
+        return _fermi_dilog_landen(z)
+    small, small_bound = _fermi_dilog_landen(1.0 / z)
+    log_z = math.log(z)
+    value = _PI2_6 + 0.5 * log_z * log_z - small
+    return value, small_bound + 4.0 * _EPS * (_PI2_6 + log_z * log_z + small)
+
+
+def eval_h_inversion(stat: StatKind, sigma, z: float) -> FunctionValue:
+    """Fermi f_sigma(z) from exact inversion formulas, any z > 0.
+
+    Half-integer orders use Jonquiere's formula with an Euler-Maclaurin
+    Hurwitz zeta; sigma = 2 uses the dilogarithm inversion and Landen's
+    identity.  The bound covers the rigorous truncation remainders and the
+    floating-point rounding; every loop has a fixed trip count.
     """
     sigma = Order.of(sigma)
     if stat is not StatKind.FERMI:
-        raise DomainError("quadrature route is defined for Fermi statistics only")
-    if sigma.value <= 0.0:
-        raise DomainError(f"integral representation needs sigma > 0, got {sigma}")
-    _require_z_in_domain(stat, z, z_max)
-
-    log_z = math.log(z)
-    power = 2.0 * sigma.value - 1.0
-
-    def integrand(u: float) -> float:
-        return u**power * _fermi_occ(u * u - log_z)
-
-    split = math.sqrt(log_z) if log_z > 0.0 else 1.0
-    v1, e1 = quad(integrand, 0.0, split, epsabs=1e-13, epsrel=1e-13, limit=200)
-    v2, e2 = quad(integrand, split, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-    value = 2.0 / math.gamma(sigma.value) * (v1 + v2)
-    bound = 10.0 * (2.0 / math.gamma(sigma.value)) * (e1 + e2) + 4.0 * _EPS * abs(value)
-    _check_contract(value, bound, f"quadrature h_{sigma}({z})")
-    return FunctionValue(value, bound, Method.QUADRATURE)
-
-
-def eval_h_recurrence(stat: StatKind, sigma, z: float, z_max: float = FERMI_Z_MAX) -> FunctionValue:
-    """Order-lowering recurrence h_(s-1)(z) = z d/dz h_s(z), Fermi, sigma <= 0.
-
-    Differentiating the integral representation of h_(sigma+1) under the
-    integral sign gives
-
-        h_sigma(z) = 2/Gamma(sigma+1) * int_0^inf u^(2 sigma + 1) w(u^2 - ln z) du,
-        w(t) = e^t / (e^t + 1)^2,
-
-    which is convergent at u = 0 for sigma > -1 and decays like a Gaussian.
-    """
-    sigma = Order.of(sigma)
-    if stat is not StatKind.FERMI:
-        raise DomainError("order recurrence route is defined for Fermi statistics only")
-    if sigma.value > 0.0:
-        raise DomainError("order recurrence route targets sigma <= 0")
-    _require_z_in_domain(stat, z, z_max)
-
-    upper = sigma.value + 1.0
-    log_z = math.log(z)
-    power = 2.0 * upper - 1.0
-
-    def integrand(u: float) -> float:
-        return u**power * _fermi_occ_deriv(u * u - log_z)
-
-    split = math.sqrt(log_z) if log_z > 0.0 else 1.0
-    v1, e1 = quad(integrand, 0.0, split, epsabs=1e-13, epsrel=1e-13, limit=200)
-    v2, e2 = quad(integrand, split, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-    value = 2.0 / math.gamma(upper) * (v1 + v2)
-    bound = 10.0 * (2.0 / math.gamma(upper)) * (e1 + e2) + 4.0 * _EPS * abs(value)
-    _check_contract(value, bound, f"recurrence h_{sigma}({z})")
-    return FunctionValue(value, bound, Method.ORDER_RECURRENCE)
+        raise DomainError("inversion route is defined for Fermi statistics only")
+    dilog = sigma == TWO
+    if not dilog and sigma.twice not in _JONQUIERE:
+        raise DomainError(f"sigma={sigma} has a closed form; use eval_h_closed_form")
+    _require_z_in_domain(stat, z, math.inf)
+    value, bound = _fermi_dilog(z) if dilog else _fermi_jonquiere(sigma, z)
+    if bound > max(ABS_CONTRACT, REL_CONTRACT * abs(value)):
+        raise AccuracyError(
+            f"inversion h_{sigma}({z}): achieved bound {bound:.3e} misses the "
+            f"accuracy contract for value {value:.6e}",
+            achieved=bound,
+        )
+    return FunctionValue(value, bound, Method.INVERSION)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +501,7 @@ def bose_limit_at_unity(sigma) -> FunctionValue:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=65536)
-def _eval_h_cached(
-    stat: StatKind, twice_sigma: int, z: float, z_max: float, tail_bound: float
-) -> FunctionValue:
+def _eval_h_cached(stat: StatKind, twice_sigma: int, z: float, tail_bound: float) -> FunctionValue:
     sigma = Order(twice_sigma)
     if stat is StatKind.BOSE and z == 1.0:
         if sigma.value > 1.0:
@@ -447,9 +521,7 @@ def _eval_h_cached(
     # Fermi, non-closed-form order
     if z <= METHOD_SWITCH_Z:
         return eval_h_series(stat, sigma, z, tail_bound=tail_bound)
-    if sigma.value > 0.0:
-        return eval_h_quadrature(stat, sigma, z, z_max)
-    return eval_h_recurrence(stat, sigma, z, z_max)
+    return eval_h_inversion(stat, sigma, z)
 
 
 def eval_h(
@@ -498,4 +570,4 @@ def eval_h(
     sigma = Order.of(sigma)
     _require_z_in_domain(stat, z, z_max)
     tail = 1e-12 if tail_bound is None else float(tail_bound)
-    return _eval_h_cached(stat, sigma.twice, float(z), float(z_max), tail)
+    return _eval_h_cached(stat, sigma.twice, float(z), tail)

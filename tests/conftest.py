@@ -1,9 +1,8 @@
 """Shared independent oracles for the test-suite.
 
 The fixed-grid double-exponential quadrature below is deliberately separate
-from everything in the package (the package's own quadrature is adaptive
-QUADPACK on a different substitution), so series/quadrature agreement is a
-genuine two-route check.
+from everything in the package (which evaluates no integral representation),
+so agreement with it is a genuine two-route check.
 """
 
 import math

@@ -34,12 +34,12 @@ class TestSpecfun:
         assert float(parse_csv(result.output)[0]["value"]) == pytest.approx(
             math.log(2.0), abs=1e-12)
 
-    def test_fermi_quadrature_with_bound_column(self):
+    def test_fermi_inversion_with_bound_column(self):
         result = run("specfun", "--stat", "fermi", "--order", "1.5", "--z", "2")
         row = parse_csv(result.output)[0]
-        assert row["method"] == "Quadrature"
-        assert float(row["error_bound"]) < 1e-10
-        assert float(row["value"]) == pytest.approx(1.2813803831597696, abs=1e-11)
+        assert row["method"] == "Inversion"
+        assert float(row["error_bound"]) < 1e-11
+        assert float(row["value"]) == pytest.approx(1.2813803831597696, abs=1e-12)
 
     def test_z_grid(self):
         result = run("specfun", "--stat", "bose", "--order", "2",
@@ -66,6 +66,28 @@ class TestSpecfun:
         from confinedgas.statfun import StatKind, eval_h
         want = eval_h(StatKind.BOSE, 0.5, 0.7).value
         assert float(row["value"]) == want  # 17 significant digits round-trip
+
+
+class TestMalformedInput:
+    def test_parse_errors_exit_3_with_json_diagnostic(self):
+        cases = [
+            (("solve", "--stat", "bose", "--shape", "disk:abc", "--N", "5", "--T", "100"),
+             "GeometryError"),
+            (("solve", "--stat", "bose", "--shape", "free:abc", "--N", "5", "--T", "100"),
+             "GeometryError"),
+            (("solve", "--stat", "bose", "--shape", "polygon:@/missing/poly.txt",
+              "--N", "5", "--T", "100"), "GeometryError"),
+            (("table", "--stat", "bose", "--shape", "disk:1", "--N", "5",
+              "--T-grid", "a:b:c"), "DomainError"),
+            (("verify", "--suite", "heatkernel", "--t-list", "0.1,x"), "DomainError"),
+            (("specfun", "--stat", "fermi", "--order", "1/0", "--z", "1"), "DomainError"),
+        ]
+        for args, error in cases:
+            result = run(*args)
+            assert result.exit_code == 3, (args, result.output)
+            assert isinstance(result.exception, SystemExit), (args, result.exception)
+            diag = json.loads(result.output.strip().splitlines()[-1])
+            assert diag["error"] == error, args
 
 
 class TestSolve:

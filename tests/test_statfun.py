@@ -1,11 +1,15 @@
 """Tests for the unified Bose/Fermi integral family."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from confinedgas import statfun
 from confinedgas.errors import AccuracyError, DomainError
 from confinedgas.statfun import (
     ALL_ORDERS,
@@ -23,8 +27,7 @@ from confinedgas.statfun import (
     bose_limit_at_unity,
     eval_h,
     eval_h_closed_form,
-    eval_h_quadrature,
-    eval_h_recurrence,
+    eval_h_inversion,
     eval_h_series,
 )
 from conftest import de_quad_h, de_quad_h_lowered
@@ -130,13 +133,16 @@ class TestSeries:
 
 
 class TestQuadratureAndRecurrence:
+    """Fermi z > 0.99 against the integral-representation (quadrature) and
+    order-recurrence comparators of conftest, and against mpmath."""
+
     def test_fermi_unity_anchors(self):
-        """f_sigma(1) = (1 - 2^(1-sigma)) zeta(sigma) to 1e-10."""
+        """f_sigma(1) = (1 - 2^(1-sigma)) zeta(sigma), within the bound."""
         for sigma, zeta in ((THREE_HALVES, ZETA_32), (TWO, ZETA_2), (FIVE_HALVES, ZETA_52)):
             want = (1.0 - 2.0 ** (1.0 - sigma.value)) * zeta
             got = eval_h(FERMI, sigma, 1.0)
-            assert got.method is Method.QUADRATURE
-            assert abs(got.value - want) < 1e-10, sigma
+            assert abs(got.value - want) <= got.abs_error_bound + 4e-16, sigma
+            assert abs(got.value - want) < 1e-12, sigma
 
     def test_f32_at_z2(self):
         got = eval_h(FERMI, THREE_HALVES, 2.0)
@@ -144,22 +150,41 @@ class TestQuadratureAndRecurrence:
         assert abs(got.value - oracle) < 1e-11
         assert abs(got.value - 1.2813803831597696) < 1e-12
 
-    def test_quadrature_rejects_bose_and_nonpositive_orders(self):
+    def test_inversion_rejects_bose_and_closed_form_orders(self):
         with pytest.raises(DomainError):
-            eval_h_quadrature(BOSE, THREE_HALVES, 0.5)
-        with pytest.raises(DomainError):
-            eval_h_quadrature(FERMI, ZERO, 2.0)
-
-    def test_recurrence_matches_series_below_switch(self):
-        s = eval_h_series(FERMI, MINUS_HALF, 0.98)
-        r = eval_h_recurrence(FERMI, MINUS_HALF, 0.98)
-        assert abs(s.value - r.value) <= s.abs_error_bound + r.abs_error_bound
+            eval_h_inversion(BOSE, THREE_HALVES, 0.5)
+        for sigma in (ONE, ZERO, MINUS_ONE):
+            with pytest.raises(DomainError):
+                eval_h_inversion(FERMI, sigma, 2.0)
+        for z in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                eval_h_inversion(FERMI, HALF, z)
 
     def test_recurrence_matches_lowered_oracle(self):
         for z in (1.5, 10.0, 1e4):
             got = eval_h(FERMI, MINUS_HALF, z)
-            assert got.method is Method.ORDER_RECURRENCE
             assert abs(got.value - de_quad_h_lowered(-0.5, z)) < 1e-11
+            assert abs(got.value - mp_h(FERMI, -0.5, z)) <= got.abs_error_bound
+
+    def test_minus_half_regression_near_ten(self):
+        """The point where the former order-recurrence bound failed by 200x."""
+        z = 10.004453755819583
+        got = eval_h(FERMI, MINUS_HALF, z)
+        assert got.method is Method.INVERSION
+        assert abs(got.value - mp_h(FERMI, -0.5, z)) <= got.abs_error_bound < 1e-12
+
+    def test_log_sweep_against_mpmath(self):
+        """|value - mpmath| <= bound <= contract on [0.99, 1e8], all five orders."""
+        for sigma in (MINUS_HALF, HALF, THREE_HALVES, TWO, FIVE_HALVES):
+            for z in np.geomspace(0.99, 1e8, 41)[1:]:
+                got = eval_h(FERMI, sigma, float(z))
+                err = abs(got.value - mp_h(FERMI, sigma.value, float(z)))
+                assert err <= got.abs_error_bound <= max(1e-10, 1e-10 * abs(got.value)), (
+                    sigma, z, err, got.abs_error_bound)
+
+    def test_bernoulli_constants(self):
+        for j, b in enumerate(statfun._BERNOULLI_2J, start=1):
+            assert b == Fraction(*(int(v) for v in mp.bernfrac(2 * j))), j
 
     def test_large_z_cap(self):
         with pytest.raises(DomainError):
@@ -240,10 +265,10 @@ class TestInvariants:
 
     def test_method_cross_agreement(self):
         """Any two admissible methods agree within their combined bounds."""
-        for z in (0.3, 0.9, 0.99):
-            for sigma in (HALF, THREE_HALVES, TWO, FIVE_HALVES):
+        for z in (0.3, 0.9, 0.98, 0.99):
+            for sigma in (MINUS_HALF, HALF, THREE_HALVES, TWO, FIVE_HALVES):
                 s = eval_h_series(FERMI, sigma, z)
-                q = eval_h_quadrature(FERMI, sigma, z)
+                q = eval_h_inversion(FERMI, sigma, z)
                 assert abs(s.value - q.value) <= s.abs_error_bound + q.abs_error_bound
 
     def test_against_mpmath_sweep(self):
@@ -261,3 +286,26 @@ class TestInvariants:
                 got = eval_h(FERMI, sigma, z).value
                 want = mp_h(FERMI, sigma.value, z)
                 assert abs(got - want) < 1e-10 * max(1.0, abs(want)), (sigma, z)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    stat=st.sampled_from((BOSE, FERMI)),
+    sigma=st.sampled_from(ALL_ORDERS),
+    log10_z=st.floats(-8.0, 8.0),
+)
+def test_eval_h_meets_contract_or_raises_accuracy_error(stat, sigma, log10_z):
+    """Fermi z log-uniform on [1e-8, 1e8], Bose on [1e-8, 1): eval_h returns
+    a value within its bound of mpmath, with the bound inside the 1e-10
+    contract, or raises AccuracyError."""
+    z = 10.0 ** (-abs(log10_z) if stat is BOSE else log10_z)
+    if z >= 1.0 and stat is BOSE:
+        z = math.nextafter(1.0, 0.0)
+    try:
+        got = eval_h(stat, sigma, z)
+    except AccuracyError:
+        return
+    assert got.abs_error_bound <= max(1e-10, 1e-10 * abs(got.value))
+    mp.mp.dps = 30
+    exact = mp.polylog(sigma.value, z) if stat is BOSE else -mp.polylog(sigma.value, -z)
+    assert abs(mp.mpf(got.value) - mp.re(exact)) <= got.abs_error_bound
