@@ -160,6 +160,12 @@ class TestQuadratureAndRecurrence:
             with pytest.raises(DomainError):
                 eval_h_inversion(FERMI, HALF, z)
 
+    def test_recurrence_matches_series_below_switch(self):
+        """Order -1/2, formerly the order-recurrence route, just below the switch."""
+        s = eval_h_series(FERMI, MINUS_HALF, 0.98)
+        r = eval_h_inversion(FERMI, MINUS_HALF, 0.98)
+        assert abs(s.value - r.value) <= s.abs_error_bound + r.abs_error_bound
+
     def test_recurrence_matches_lowered_oracle(self):
         for z in (1.5, 10.0, 1e4):
             got = eval_h(FERMI, MINUS_HALF, z)
