@@ -1,161 +1,62 @@
-"""Self-contained cylinder functions for the spectral oracle.
+"""Zeros of cylinder functions for the spectral oracle.
 
-The oracle must not depend on the formulas it is checking, so J_n and Y_n
-are built here from scratch:
-
-* J_0..J_nmax by backward (Miller) recurrence normalised with
-  J_0 + 2*sum J_2k = 1, which is accurate to ~1e-14 for every argument in
-  the operating range (0 < x <= ~300) with no small/large-x seam;
-* Y_0 from the convergent Bessel-coefficient expansion
-  Y_0 = (2/pi)(ln(x/2) + gamma) J_0 + (4/pi) sum_k (-1)^(k+1) J_2k / k,
-  and Y_1 = -dY_0/dx differentiated term by term (all coefficients come
-  from the same Miller pass);
-* higher orders by the forward recurrence C_(n+1) = (2n/x) C_n - C_(n-1),
-  which is stable for Y.
-
-Zero finders bracket sign changes on an oversampled grid and polish with
-Newton steps safeguarded by bisection.  Derivatives use
-C_n' = C_(n-1) - (n/x) C_n.  The test-suite cross-checks values and zeros
-against mpmath.
+J_nu and Y_nu come from ``scipy.special`` (Amos, ACM TOMS 12 (1986) 265,
+Alg. 644), which implements none of the formulas the oracle checks.  Each
+finder samples one order on a grid in one vectorised call, polishes all
+sign changes at once by Newton steps safeguarded by bisection, using
+C_nu' = C_(nu-1) - (nu/x) C_nu, and certifies each root.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
+
+import numpy as np
+from scipy.special import jv, yv
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = [
-    "EULER_GAMMA",
-    "bessel_j_row",
-    "bessel_jy_rows",
-    "bessel_j",
-    "bessel_y",
-    "j_zeros_up_to",
-    "cross_product",
-    "cross_product_zeros_up_to",
-]
-
-EULER_GAMMA = 0.5772156649015329
-
-_RESCALE = 1e250
+__all__ = ["j_zeros_up_to", "cross_product_zeros_up_to"]
 
 
-def _miller_length(nmax: int, x: float) -> int:
-    # Start high enough that the downward recurrence has washed out the
-    # arbitrary seed by the time it reaches nmax: J_M(x) must be ~1e-18 of
-    # the dominant orders.  1.4x + 40 covers the operating range (validated
-    # against mpmath in the tests).
-    return int(max(nmax, 1.4 * x)) + 40
+def _roots(func, start: float, stop: float, step: float) -> np.ndarray:
+    """Ascending roots of ``func`` at its sign changes on the grid start,
+    start + step, ..., stop, each polished until its step is below 1e-15
+    relative.  ``func(x, slope=True)`` returns the value and derivative."""
+    grid = np.append(start + step * np.arange(math.ceil((stop - start) / step)), stop)
+    values = func(grid)
+    if not np.all(np.isfinite(values)):
+        raise ConvergenceError("non-finite cylinder function on the sampling grid")
+    idx = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0)
+    lo, hi, f_lo = grid[idx], grid[idx + 1], values[idx]
+    x, last = lo - f_lo * (hi - lo) / (values[idx + 1] - f_lo), hi - lo
+    roots = np.empty_like(x)
+    todo = np.arange(x.size)
+    for _ in range(80):
+        if todo.size == 0:
+            break
+        f, df = func(x, slope=True)
+        same = (f < 0.0) == (f_lo < 0.0)
+        lo, f_lo, hi = np.where(same, x, lo), np.where(same, f, f_lo), np.where(same, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / df
+        # Bisect where Newton leaves the bracket or fails to halve the last
+        # step, as it does when rounding noise near the root makes it wander.
+        ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - x) <= 0.5 * last)
+        x_new = np.where(ok, newton, 0.5 * (lo + hi))
+        last = np.abs(x_new - x)
+        done = (f == 0.0) | (last <= 1e-15 * np.abs(x_new))
+        roots[todo[done]] = np.where(f == 0.0, x, x_new)[done]
+        todo, x, last, lo, hi, f_lo = (a[~done] for a in (todo, x_new, last, lo, hi, f_lo))
+    if todo.size:
+        raise ConvergenceError(f"zero refinement stalled in [{lo[0]}, {hi[0]}]")
+    return np.sort(np.concatenate([grid[values == 0.0], roots]))
 
 
-def _j_row_full(nmax: int, x: float) -> list[float]:
-    """Normalised Miller row J_0..J_M with M comfortably past nmax and x."""
-    m = _miller_length(nmax, x)
-    row = [0.0] * (m + 2)
-    row[m + 1] = 0.0
-    row[m] = 1e-30
-    for k in range(m, 0, -1):
-        row[k - 1] = (2.0 * k / x) * row[k] - row[k + 1]
-        if abs(row[k - 1]) > _RESCALE:
-            inv = 1.0 / _RESCALE
-            for i in range(k - 1, m + 2):
-                row[i] *= inv
-    norm = row[0] + 2.0 * math.fsum(row[k] for k in range(2, m + 1, 2))
-    inv_norm = 1.0 / norm
-    return [v * inv_norm for v in row]
-
-
-def bessel_j_row(nmax: int, x: float) -> list[float]:
-    """J_0(x) .. J_nmax(x) by Miller's backward recurrence."""
-    if x < 0.0:
-        raise DomainError(f"argument must be >= 0, got {x}")
-    if nmax < 0:
-        raise DomainError(f"nmax must be >= 0, got {nmax}")
-    if x == 0.0:
-        return [1.0] + [0.0] * nmax
-    return _j_row_full(nmax, x)[: nmax + 1]
-
-
-def _y0_y1(x: float, jrow: list[float]) -> tuple[float, float]:
-    """Y_0 and Y_1 from the Bessel-coefficient expansions (needs jrow long
-    enough that J_2k has decayed, which bessel_j_row guarantees)."""
-    two_over_pi = 2.0 / math.pi
-    log_term = math.log(0.5 * x) + EULER_GAMMA
-    m = len(jrow) - 1
-
-    acc0 = 0.0  # sum (-1)^(k+1) J_2k / k
-    acc1 = 0.0  # sum (-1)^(k+1) (J_(2k-1) - J_(2k+1)) / k
-    sign = 1.0
-    k = 1
-    while 2 * k + 1 <= m:
-        acc0 += sign * jrow[2 * k] / k
-        acc1 += sign * (jrow[2 * k - 1] - jrow[2 * k + 1]) / k
-        sign = -sign
-        k += 1
-    y0 = two_over_pi * (log_term * jrow[0] + 2.0 * acc0)
-    # Y_1 = -Y_0' ; differentiate the expansion term by term.
-    y1 = -two_over_pi * (jrow[0] / x + log_term * (-jrow[1])) - two_over_pi * acc1
-    return y0, y1
-
-
-def bessel_jy_rows(nmax: int, x: float) -> tuple[list[float], list[float]]:
-    """(J_0..J_nmax, Y_0..Y_nmax); forward recurrence is stable for Y."""
-    if x <= 0.0:
-        raise DomainError(f"Y_n needs x > 0, got {x}")
-    long_row = _j_row_full(max(nmax, 1), x)
-    y0, y1 = _y0_y1(x, long_row)
-    yrow = [0.0] * (nmax + 1)
-    yrow[0] = y0
-    if nmax >= 1:
-        yrow[1] = y1
-    for n in range(1, nmax):
-        yrow[n + 1] = (2.0 * n / x) * yrow[n] - yrow[n - 1]
-    return long_row[: nmax + 1], yrow
-
-
-def bessel_j(n: int, x: float) -> float:
-    return bessel_j_row(n, x)[n]
-
-
-def bessel_y(n: int, x: float) -> float:
-    return bessel_jy_rows(n, x)[1][n]
-
-
-# ---------------------------------------------------------------------------
-# zeros of J_nu
-# ---------------------------------------------------------------------------
-
-def _j_and_deriv(nu: int, x: float) -> tuple[float, float]:
-    row = bessel_j_row(max(nu, 1), x)
-    j = row[nu]
-    if nu == 0:
-        return j, -row[1]
-    return j, row[nu - 1] - (nu / x) * j
-
-
-def _refine_zero(func, lo: float, hi: float, f_lo: float, f_hi: float,
-                 tol: float, max_iter: int = 80) -> float:
-    """Newton polished root inside a sign-change bracket, bisection-safe."""
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        f, df = func(x)
-        if f == 0.0:
-            return x
-        if (f < 0.0) == (f_lo < 0.0):
-            lo, f_lo = x, f
-        else:
-            hi, f_hi = x, f
-        step_ok = df != 0.0
-        if step_ok:
-            x_new = x - f / df
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= tol * abs(x_new):
-            return x_new
-        x = x_new
-    raise ConvergenceError(f"zero refinement stalled in [{lo}, {hi}]")
+def _j(nu: int, x, slope: bool = False):
+    f = jv(nu, x)
+    return (f, jv(nu - 1, x) - (nu / x) * f) if slope else f
 
 
 def j_zeros_up_to(nu: int, xmax: float) -> list[float]:
@@ -167,76 +68,33 @@ def j_zeros_up_to(nu: int, xmax: float) -> list[float]:
     """
     if xmax <= nu:
         return []
-    zeros: list[float] = []
-    step = math.pi / 4.0
-    x_prev = max(nu, 1e-6)
-    f_prev = _j_and_deriv(nu, x_prev)[0]
-    x = x_prev + step
-    while x_prev < xmax:
-        x = min(x, xmax)
-        f = _j_and_deriv(nu, x)[0]
-        if f == 0.0:
-            zeros.append(x)
-        elif (f < 0.0) != (f_prev < 0.0):
-            root = _refine_zero(lambda t: _j_and_deriv(nu, t), x_prev, x, f_prev, f, 1e-15)
-            residual = _j_and_deriv(nu, root)[0]
-            if abs(residual) > 1e-12:
-                raise ConvergenceError(
-                    f"zero of J_{nu} at {root} has residual {residual:.3e}"
-                )
-            if root <= xmax:
-                zeros.append(root)
-        if x >= xmax:
-            break
-        x_prev, f_prev = x, f
-        x = x + step
-    return zeros
+    zeros = _roots(partial(_j, nu), max(nu, 1e-6), xmax, math.pi / 4.0)
+    residual = np.abs(jv(nu, zeros))
+    if np.any(residual > 1e-12):
+        i = int(np.argmax(residual))
+        raise ConvergenceError(f"zero of J_{nu} at {zeros[i]} has residual {residual[i]:.3e}")
+    return zeros.tolist()
 
 
-# ---------------------------------------------------------------------------
-# annulus cross-product
-# ---------------------------------------------------------------------------
+def _scaled_cross(nu: int, k, ri: float, ro: float, slope: bool = False):
+    """G = (J_nu(k Ri) Y_nu(k Ro) - J_nu(k Ro) Y_nu(k Ri)) / |H_nu(k Ri)|.
 
-def cross_product(nu: int, k: float, r_inner: float, r_outer: float) -> float:
-    """J_nu(k Ri) Y_nu(k Ro) - J_nu(k Ro) Y_nu(k Ri)."""
-    j_i, y_i = _jy_at(nu, k * r_inner)
-    j_o, y_o = _jy_at(nu, k * r_outer)
-    return j_i * y_o - j_o * y_i
-
-
-def _jy_at(nu: int, x: float) -> tuple[float, float]:
-    jrow, yrow = bessel_jy_rows(nu, x)
-    return jrow[nu], yrow[nu]
-
-
-def _cross_and_deriv(nu: int, k: float, ri: float, ro: float) -> tuple[float, float, float]:
-    """(cross-product, d/dk, cancellation scale |J_i Y_o| + |J_o Y_i|).
-
-    Near the turning point of high orders the two products are individually
-    large and cancel; the scale lets callers set a realistic residual floor.
+    The divisor never vanishes, so G has the zeros and signs of the
+    cross-product, and G stays finite where Y_nu(k Ri) overflows (there
+    J_nu(k Ri) is 0 and G = J_nu(k Ro)).  With (c, s) = (cos, sin) of the
+    phase theta of H_nu(k Ri), the Wronskian gives theta' = 2/(pi k |H|^2).
     """
-    ji_row, yi_row = bessel_jy_rows(max(nu, 1), k * ri)
-    jo_row, yo_row = bessel_jy_rows(max(nu, 1), k * ro)
-    j_i, y_i = ji_row[nu], yi_row[nu]
-    j_o, y_o = jo_row[nu], yo_row[nu]
-
-    def deriv(row, x):
-        if nu == 0:
-            return -row[1]
-        return row[nu - 1] - (nu / x) * row[nu]
-
-    dj_i = deriv(ji_row, k * ri)
-    dy_i = deriv(yi_row, k * ri)
-    dj_o = deriv(jo_row, k * ro)
-    dy_o = deriv(yo_row, k * ro)
-    f = j_i * y_o - j_o * y_i
-    df = (
-        ri * dj_i * y_o
-        + ro * j_i * dy_o
-        - ro * dj_o * y_i
-        - ri * j_o * dy_i
-    )
-    return f, df, abs(j_i * y_o) + abs(j_o * y_i)
+    j_in, y_in, j_out, y_out = jv(nu, k * ri), yv(nu, k * ri), jv(nu, k * ro), yv(nu, k * ro)
+    m = np.hypot(j_in, y_in)
+    with np.errstate(invalid="ignore", over="ignore"):
+        c, s = j_in / m, np.where(np.isinf(y_in), np.sign(y_in), y_in / m)
+        g = c * y_out - s * j_out
+        if not slope:
+            return g
+        dj_out = jv(nu - 1, k * ro) - (nu / (k * ro)) * j_out
+        dy_out = yv(nu - 1, k * ro) - (nu / (k * ro)) * y_out
+        dtheta = 2.0 / (math.pi * k * m * m)
+    return g, ro * (c * dy_out - s * dj_out) - dtheta * (s * y_out + c * j_out)
 
 
 def cross_product_zeros_up_to(nu: int, r_inner: float, r_outer: float,
@@ -252,34 +110,15 @@ def cross_product_zeros_up_to(nu: int, r_inner: float, r_outer: float,
     k_start = max(nu / r_outer, 1e-3) * 0.95
     if k_start >= kmax:
         return []
-    step = math.pi / (8.0 * (r_outer - r_inner))
-    zeros: list[float] = []
-    k_prev = k_start
-    f_prev = _cross_and_deriv(nu, k_prev, r_inner, r_outer)[0]
-    k = k_prev + step
-    while k_prev < kmax:
-        k = min(k, kmax)
-        f = _cross_and_deriv(nu, k, r_inner, r_outer)[0]
-        if f == 0.0:
-            zeros.append(k)
-        elif (f < 0.0) != (f_prev < 0.0):
-            root = _refine_zero(
-                lambda t: _cross_and_deriv(nu, t, r_inner, r_outer)[:2],
-                k_prev, k, f_prev, f, 1e-15,
-            )
-            # Certify the root through its implied k-error |F|/|F'|; the raw
-            # residual is meaningless when high orders make the slope steep.
-            residual, slope, _ = _cross_and_deriv(nu, root, r_inner, r_outer)
-            k_err = abs(residual) / max(abs(slope), 1e-300)
-            if k_err > 1e-11 * max(1.0, root):
-                raise ConvergenceError(
-                    f"cross-product zero at k={root} is only accurate to "
-                    f"dk={k_err:.3e} (residual {residual:.3e})"
-                )
-            if root <= kmax:
-                zeros.append(root)
-        if k >= kmax:
-            break
-        k_prev, f_prev = k, f
-        k = k + step
-    return zeros
+    cross = partial(_scaled_cross, nu, ri=r_inner, ro=r_outer)
+    zeros = _roots(cross, k_start, kmax, math.pi / (8.0 * (r_outer - r_inner)))
+    # Certify each root through its implied k-error |G|/|G'|; the raw
+    # residual is meaningless when high orders make the slope steep.
+    residual, slope = cross(zeros, slope=True)
+    k_err = np.abs(residual) / np.maximum(np.abs(slope), 1e-300)
+    bad = np.flatnonzero(k_err > 1e-11 * np.maximum(1.0, zeros))
+    if bad.size:
+        i = bad[0]
+        raise ConvergenceError(f"cross-product zero at k={zeros[i]} is only accurate to "
+                               f"dk={k_err[i]:.3e} (residual {residual[i]:.3e})")
+    return zeros.tolist()

@@ -20,9 +20,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import click
 import numpy as np
@@ -144,18 +142,6 @@ def _parse_t_list(text: str) -> list[float]:
         return sorted((float(s) for s in text.split(",")), reverse=True)
     except ValueError as exc:
         raise DomainError(f"t-list {text!r}: expected comma-separated numbers ({exc})") from exc
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("CONFINEDGAS_THREADS", "1"))
-
-
-def _ordered_map(func, items, threads: int):
-    """Apply func preserving input order; threads affect wall time only."""
-    if threads <= 1:
-        return [func(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(func, items))
 
 
 @click.group()
@@ -343,9 +329,7 @@ def _table_row_3d(kind, tube, n_particles, T):
 @click.option("--Lz", "length_z", type=float, default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True))
-@click.option("--threads", type=int, default=None,
-              help="worker threads (wall time only; output is identical)")
-def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out, threads):
+def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out):
     """Thermodynamic table over a T grid; failures become error rows.
 
     Columns: T, z, lambda, U, F, S, C_V, P, then sigma2, eta2 (planar) or
@@ -358,15 +342,12 @@ def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out, threads):
         temps = _parse_grid(t_grid)
     except ConfinedGasError as exc:
         _fail(exc)
-    threads = _default_threads() if threads is None else threads
     if length_z is not None:
         tube = TubeDomain(dom, length_z)
-        rows = _ordered_map(lambda T: _table_row_3d(kind, tube, n_particles, T),
-                            temps, threads)
+        rows = [_table_row_3d(kind, tube, n_particles, T) for T in temps]
         columns = TABLE_COLUMNS_3D
     else:
-        rows = _ordered_map(lambda T: _table_row_2d(kind, dom, n_particles, T),
-                            temps, threads)
+        rows = [_table_row_2d(kind, dom, n_particles, T) for T in temps]
         columns = TABLE_COLUMNS_2D
     _emit(rows, columns, fmt, out)
     if any(row["status"] != "ok" for row in rows):
@@ -536,9 +517,7 @@ def _richardson(fn, x: float) -> float:
 @click.option("--t-list", "t_list_text", default="0.1,0.05,0.025", show_default=True)
 @click.option("--report", "report_path", default=None,
               type=click.Path(dir_okay=False, writable=True))
-@click.option("--threads", type=int, default=None,
-              help="worker threads (wall time only; output is identical)")
-def cmd_verify(suite, t_list_text, report_path, threads):
+def cmd_verify(suite, t_list_text, report_path):
     """Run oracle comparisons; exit 0 iff every non-informational row passes.
 
     Columns: case, t, measured, tolerance, status (pass/fail/info).
@@ -546,14 +525,10 @@ def cmd_verify(suite, t_list_text, report_path, threads):
     try:
         t_list = _parse_t_list(t_list_text)
         rows: list[dict] = []
-        suites = []
         if suite in ("heatkernel", "all"):
-            suites.append(lambda: _verify_heatkernel(t_list))
+            rows.extend(_verify_heatkernel(t_list))
         if suite in ("thermo", "all"):
-            suites.append(_verify_thermo)
-        threads = _default_threads() if threads is None else threads
-        for chunk in _ordered_map(lambda fn: fn(), suites, threads):
-            rows.extend(chunk)
+            rows.extend(_verify_thermo())
     except ConfinedGasError as exc:
         _fail(exc)
     columns = ["case", "t", "measured", "tolerance", "status"]

@@ -181,7 +181,7 @@ def rectangle_spectrum(a: float, b: float, cutoff: float,
 
 
 def disk_spectrum(R: float, cutoff: float, state_cap: int = STATE_CAP) -> Spectrum:
-    """Exact disk spectrum below ``cutoff`` from in-module Bessel zeros."""
+    """Exact disk spectrum below ``cutoff`` from the zeros of J_nu."""
     if not (R > 0.0 and cutoff > 0.0):
         raise DomainError("disk_spectrum needs R, cutoff > 0")
     if _weyl_count(Disk(R), cutoff) > state_cap:

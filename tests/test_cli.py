@@ -148,18 +148,6 @@ class TestTable:
                 "--N", "60", "--T-grid", "500:900:4")
         assert run(*args).output == run(*args).output
 
-    def test_threads_do_not_change_output(self):
-        base = ("table", "--stat", "bose", "--shape", "disk:1",
-                "--N", "60", "--T-grid", "500:900:4")
-        assert run(*base).output == run(*base, "--threads", "4").output
-
-    def test_thread_env_var_does_not_change_output(self, monkeypatch):
-        base = ("table", "--stat", "bose", "--shape", "disk:1",
-                "--N", "60", "--T-grid", "500:900:4")
-        reference = run(*base).output
-        monkeypatch.setenv("CONFINEDGAS_THREADS", "3")
-        assert run(*base).output == reference
-
     def test_error_rows_recorded_not_dropped(self):
         # The low-T end of this grid is past the validity of the expansion.
         result = run("table", "--stat", "bose", "--shape", "annulus:1,2",

@@ -1,9 +1,12 @@
 """Tests for the exact-spectrum oracle."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confinedgas.errors import (
     DomainError,
@@ -11,7 +14,7 @@ from confinedgas.errors import (
     ResourceError,
     TruncationError,
 )
-from confinedgas.geometry import Disk, Rectangle, make_domain, weyl_state_sum
+from confinedgas.geometry import Annulus, Disk, Rectangle, make_domain, weyl_state_sum
 from confinedgas.spectral import (
     Spectrum,
     ThetaQuery,
@@ -114,6 +117,36 @@ class TestAnnulusSpectrum:
         spec = annulus_spectrum(10.0, 10.2, 200.0)
         want = math.pi**2 / (2.0 * 0.2**2)
         assert spec.mu[0] == pytest.approx(want, rel=2e-3)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    radius=st.floats(0.3, 3.0),
+    ratio=st.floats(0.1, 0.7),
+    states=st.floats(100.0, 250.0),
+)
+def test_round_spectra_complete_at_half_cutoff(radius, ratio, states):
+    """Disk and annulus enumerations are complete below their cutoff.
+
+    The cutoff is set by the two-term Weyl count ``states``; with
+    ratio <= 0.7 and states >= 100 the bulk term is at least 4x the
+    boundary term, so the Weyl band of ``_certify_count`` applies.
+    Re-enumerating at half the cutoff must give the levels of the full
+    spectrum below it, with the same multiplicities, to 1e-14.
+    """
+    for shape, build in ((Disk(radius), partial(disk_spectrum, radius)),
+                         (Annulus(ratio * radius, radius),
+                          partial(annulus_spectrum, ratio * radius, radius))):
+        dom = make_domain(shape)
+        cutoff = 2 * math.pi * states / dom.area
+        bulk = dom.area * cutoff / (2 * math.pi)
+        assert bulk >= 4 * dom.perimeter * math.sqrt(2 * cutoff) / (4 * math.pi)
+        full, half = build(cutoff), build(cutoff / 2)
+        est = weyl_estimate(dom.area, dom.perimeter, dom.holes, cutoff)
+        assert abs(full.count - est) <= max(12.0, 3.0 * math.sqrt(est))
+        below = full.mu <= cutoff / 2
+        np.testing.assert_array_equal(half.multiplicity, full.multiplicity[below])
+        np.testing.assert_allclose(half.mu, full.mu[below], rtol=1e-14)
 
 
 class TestThetaSum:
