@@ -4,6 +4,9 @@ Boundary (perimeter) and connectivity (hole-count) corrections to the
 density of states of 2-D domains and 3-D tubes, the resulting equations of
 state and thermodynamic quantities, and an exact Dirichlet-spectrum oracle
 used to verify every asymptotic formula.
+
+The oracle (``confinedgas.spectral``) is not re-exported here: it needs
+scipy, and importing the package or any other module does not load it.
 """
 
 from .errors import (
@@ -50,10 +53,8 @@ from .geometry import (
 from .eos import (
     GasState,
     ValidityReport,
-    log_grand_potential_2d,
-    log_grand_potential_tube,
-    particle_number_2d,
-    particle_number_tube,
+    log_grand_potential,
+    particle_number,
     pressure,
     solve_fugacity,
 )
@@ -67,15 +68,6 @@ from .thermo import (
     dz_dT_3d,
     thermo_2d,
     thermo_3d,
-)
-from .spectral import (
-    Spectrum,
-    ThetaQuery,
-    annulus_spectrum,
-    disk_spectrum,
-    exact_thermo,
-    rectangle_spectrum,
-    theta_sum,
 )
 
 __version__ = "0.1.0"

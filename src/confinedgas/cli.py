@@ -17,6 +17,7 @@ Every command is deterministic for identical flags.  Numeric output uses
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -25,7 +26,7 @@ import sys
 import click
 import numpy as np
 
-from . import eos, spectral, thermo
+from . import eos, thermo
 from .errors import (
     AccuracyError,
     ConfinedGasError,
@@ -251,23 +252,16 @@ def cmd_solve(stat, shape, n_particles, temperature, length_z, tol,
 # table
 # ---------------------------------------------------------------------------
 
-TABLE_COLUMNS_2D = [
-    "T", "z", "lambda", "U", "F", "S", "C_V", "P",
-    "sigma2", "eta2",
-    "ratio_wavelength", "ratio_boundary", "ratio_topology",
-    "fermi_extension_used", "warnings", "status",
-]
-TABLE_COLUMNS_3D = [
-    "T", "z", "lambda", "U", "F", "S", "C_V", "P",
-    "sigma3", "eta3", "xi1", "xi2", "xi3", "xi4", "xi5",
+TABLE_HEAD = ["T", "z", "lambda", "U", "F", "S", "C_V", "P"]
+TABLE_TAIL = [
     "ratio_wavelength", "ratio_boundary", "ratio_topology",
     "fermi_extension_used", "warnings", "status",
 ]
 
 
-def _table_row_2d(kind, dom, n_particles, T):
+def _table_row(thermo_fn, kind, container, n_particles, T):
     try:
-        rep = thermo.thermo_2d(kind, dom, n_particles, T)
+        rep = thermo_fn(kind, container, n_particles, T)
     except ConfinedGasError as exc:
         return {"T": T, "status": f"error:{type(exc).__name__}", "warnings": str(exc)}
     return {
@@ -279,39 +273,7 @@ def _table_row_2d(kind, dom, n_particles, T):
         "S": rep.S,
         "C_V": rep.C_V,
         "P": rep.P,
-        "sigma2": rep.aux.sigma2,
-        "eta2": rep.aux.eta2,
-        "ratio_wavelength": rep.validity.ratio_wavelength,
-        "ratio_boundary": rep.validity.ratio_boundary,
-        "ratio_topology": rep.validity.ratio_topology,
-        "fermi_extension_used": rep.validity.fermi_extension_used,
-        "warnings": "; ".join(rep.validity.warnings),
-        "status": "ok",
-    }
-
-
-def _table_row_3d(kind, tube, n_particles, T):
-    try:
-        rep = thermo.thermo_3d(kind, tube, n_particles, T)
-    except ConfinedGasError as exc:
-        return {"T": T, "status": f"error:{type(exc).__name__}", "warnings": str(exc)}
-    aux = rep.aux
-    return {
-        "T": T,
-        "z": rep.state.z,
-        "lambda": rep.state.lam,
-        "U": rep.U,
-        "F": rep.F,
-        "S": rep.S,
-        "C_V": rep.C_V,
-        "P": rep.P,
-        "sigma3": aux.sigma3,
-        "eta3": aux.eta3,
-        "xi1": aux.xi1,
-        "xi2": aux.xi2,
-        "xi3": aux.xi3,
-        "xi4": aux.xi4,
-        "xi5": aux.xi5,
+        **dataclasses.asdict(rep.aux),
         "ratio_wavelength": rep.validity.ratio_wavelength,
         "ratio_boundary": rep.validity.ratio_boundary,
         "ratio_topology": rep.validity.ratio_topology,
@@ -338,17 +300,18 @@ def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out):
     """
     try:
         kind = _parse_stat(stat)
-        dom = make_domain(parse_shape(shape))
+        container = make_domain(parse_shape(shape))
+        if length_z is not None:
+            container = TubeDomain(container, length_z)
         temps = _parse_grid(t_grid)
     except ConfinedGasError as exc:
         _fail(exc)
     if length_z is not None:
-        tube = TubeDomain(dom, length_z)
-        rows = [_table_row_3d(kind, tube, n_particles, T) for T in temps]
-        columns = TABLE_COLUMNS_3D
+        thermo_fn, aux = thermo.thermo_3d, thermo.Aux3D
     else:
-        rows = [_table_row_2d(kind, dom, n_particles, T) for T in temps]
-        columns = TABLE_COLUMNS_2D
+        thermo_fn, aux = thermo.thermo_2d, thermo.Aux2D
+    rows = [_table_row(thermo_fn, kind, container, n_particles, T) for T in temps]
+    columns = TABLE_HEAD + [f.name for f in dataclasses.fields(aux)] + TABLE_TAIL
     _emit(rows, columns, fmt, out)
     if any(row["status"] != "ok" for row in rows):
         sys.exit(EXIT_WARNED if any(r["status"] == "ok" for r in rows) else EXIT_INVALID)
@@ -366,6 +329,8 @@ def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out):
 @click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True))
 def cmd_oracle(shape, cutoff, out):
     """Export the exact Dirichlet spectrum as CSV (columns mu, multiplicity)."""
+    from . import spectral
+
     try:
         spec_shape = parse_shape(shape)
         if isinstance(spec_shape, Rectangle):
@@ -389,6 +354,8 @@ def cmd_oracle(shape, cutoff, out):
 # ---------------------------------------------------------------------------
 
 def _verify_heatkernel(t_list: list[float]) -> list[dict]:
+    from . import spectral
+
     rows = []
     # Disk: smooth boundary, constant term +1/6.
     disk = spectral.disk_spectrum(1.0, max(46.0 / min(t_list), 80.0))

@@ -1,28 +1,35 @@
 """Grand potentials, particle-number equations and the fugacity solver.
 
-For a planar domain (area O, boundary length L, holes r) at thermal
-wavelength lam the corrected grand potential and particle number are
+A container enters only through the Weyl weights of its state sum at
+thermal wavelength lam and an order shift.  A planar domain (area O,
+boundary length L, holes r) has weights (O/lam^2, -L/(4 lam), (1-r)/6) and
+shift 0; a uniform tube of length Lz over that cross-section has the same
+weights times Lz/lam and shift 1/2.  ln Xi, N and z dN/dz are then one
+weighted sum at order offsets +1, 0 and -1:
+
+    sum_i  w_i h_(s_i + shift + offset)(z),   (s_1, s_2, s_3) = (1, 1/2, 0)
+
+so that in the plane
 
     ln Xi = (O/lam^2) h_2(z)  - (L/(4 lam)) h_3/2(z) + ((1-r)/6) h_1(z)
     N     = (O/lam^2) h_1(z)  - (L/(4 lam)) h_1/2(z) + ((1-r)/6) h_0(z)
 
-and for a uniform tube of length Lz over that cross-section
+and in the tube
 
     ln Xi = (Lz O/lam^3) h_5/2 - (Lz L/(4 lam^2)) h_2 + ((1-r)/6)(Lz/lam) h_3/2
     N     = (Lz O/lam^3) h_3/2 - (Lz L/(4 lam^2)) h_1 + ((1-r)/6)(Lz/lam) h_1/2.
 
-``solve_fugacity`` inverts the particle-number equation for z with a
-bracketed, safeguarded root-finder and reports how trustworthy the
-asymptotic model is at the solution (wavelength/boundary/topology ratios,
-Fermi z > 1 flag).
+``solve_fugacity`` brackets the root of the particle-number equation by a
+geometric walk, which also decides the branch and the refusals, polishes
+it with ``bracketed_root`` (regula falsi with the Anderson-Bjorck step)
+and reports how trustworthy the asymptotic model is at the solution
+(wavelength/boundary/topology ratios, Fermi z > 1 flag).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from .errors import (
     AccuracyError,
@@ -32,19 +39,7 @@ from .errors import (
     NonMonotoneError,
 )
 from .geometry import PlanarDomain, TubeDomain, thermal_wavelength
-from .statfun import (
-    FERMI_Z_MAX,
-    HALF,
-    MINUS_HALF,
-    MINUS_ONE,
-    ONE,
-    THREE_HALVES,
-    TWO,
-    FIVE_HALVES,
-    ZERO,
-    StatKind,
-    eval_h,
-)
+from .statfun import FERMI_Z_MAX, Order, StatKind, eval_h
 
 __all__ = [
     "GasState",
@@ -52,10 +47,9 @@ __all__ = [
     "BOSE_CONDENSATION_MARGIN",
     "WARN_WAVELENGTH_RATIO",
     "WARN_BOUNDARY_RATIO",
-    "log_grand_potential_2d",
-    "particle_number_2d",
-    "log_grand_potential_tube",
-    "particle_number_tube",
+    "log_grand_potential",
+    "particle_number",
+    "bracketed_root",
     "solve_fugacity",
     "pressure",
 ]
@@ -99,117 +93,121 @@ class ValidityReport:
     warnings: tuple[str, ...]
 
 
-def _h(stat: StatKind, order, z: float, z_max: float = FERMI_Z_MAX, tail=None) -> float:
-    return eval_h(stat, order, z, z_max=z_max, tail_bound=tail).value
+def _model(container: PlanarDomain | TubeDomain, lam: float):
+    """Weyl weights (bulk, edge, hole) at lam, twice the order shift, and
+    the cross-section area.
+
+    A tube is its cross-section with every weight times Lz/lam and every
+    order half a step up.
+    """
+    if isinstance(container, TubeDomain):
+        weights, shift, area = _model(container.cross_section, lam)
+        axial = container.length_z / lam
+        return tuple(axial * w for w in weights), shift + 1, area
+    weights = (
+        container.area / lam**2,
+        -0.25 * container.perimeter / lam,
+        (1.0 - container.holes) / 6.0,
+    )
+    return weights, 0, container.area
 
 
-def _weighted_terms(stat, coeffs, orders, z, z_max, abs_budget):
-    """Evaluate coeff_i * h_(order_i)(z) with per-term accuracy budgets.
+def _weighted_terms(stat, weights, shift, offset, z, z_max=FERMI_Z_MAX, abs_budget=None):
+    """The three terms weight_i * h_(order_i)(z) of the state sum.
+
+    The planar orders are (1 + offset, 1/2 + offset, offset), raised by
+    shift/2: offset +1 gives ln Xi, 0 gives N and -1 gives z dN/dz (by the
+    order-lowering property z h_s' = h_(s-1)).
 
     When ``abs_budget`` is given, each series evaluation only needs
-    budget/(4*|coeff|) of tail accuracy for the weighted sum to stay within
+    budget/(4*|weight|) of tail accuracy for the weighted sum to stay within
     the budget; near the Bose condensation point this is what keeps the
-    series length finite.  Zero coefficients are skipped outright.
+    series length finite.  Zero weights are skipped outright.
     """
+    top = 2 + 2 * offset + shift
     out = []
-    for c, o in zip(coeffs, orders):
-        if c == 0.0:
+    for w, twice in zip(weights, (top, top - 1, top - 2)):
+        if w == 0.0:
             out.append(0.0)
             continue
         tail = None
         if abs_budget is not None:
-            tail = max(1e-15, min(abs_budget / (4.0 * abs(c)), 1e-6))
-        out.append(c * _h(stat, o, z, z_max, tail))
+            tail = max(1e-15, min(abs_budget / (4.0 * abs(w)), 1e-6))
+        out.append(w * eval_h(stat, Order(twice), z, z_max=z_max, tail_bound=tail).value)
     return tuple(out)
 
 
-def _terms_2d(stat, dom: PlanarDomain, lam, z, orders, z_max=FERMI_Z_MAX, abs_budget=None):
-    coeffs = (
-        dom.area / lam**2,
-        -0.25 * dom.perimeter / lam,
-        (1.0 - dom.holes) / 6.0,
-    )
-    return _weighted_terms(stat, coeffs, orders, z, z_max, abs_budget)
-
-
-def _terms_tube(stat, tube: TubeDomain, lam, z, orders, z_max=FERMI_Z_MAX, abs_budget=None):
-    dom = tube.cross_section
-    lz = tube.length_z
-    coeffs = (
-        lz * dom.area / lam**3,
-        -0.25 * lz * dom.perimeter / lam**2,
-        (1.0 - dom.holes) / 6.0 * lz / lam,
-    )
-    return _weighted_terms(stat, coeffs, orders, z, z_max, abs_budget)
-
-
-def log_grand_potential_2d(stat: StatKind, dom: PlanarDomain, lam: float, z: float) -> float:
-    """ln Xi for a planar domain (orders 2, 3/2, 1)."""
-    value = sum(_terms_2d(stat, dom, lam, z, (TWO, THREE_HALVES, ONE)))
+def _nonnegative_sum(label, stat, container, lam, z, offset):
+    weights, shift, _ = _model(container, lam)
+    value = sum(_weighted_terms(stat, weights, shift, offset, z))
     if value < 0.0:
         raise ModelError(
-            f"ln Xi = {value:.6g} < 0 at lambda={lam:.6g}, z={z:.6g}; "
+            f"{label} = {value:.6g} < 0 at lambda={lam:.6g}, z={z:.6g}; "
             "corrections overwhelm the bulk term"
         )
     return value
 
 
-def particle_number_2d(stat: StatKind, dom: PlanarDomain, lam: float, z: float) -> float:
-    """Particle number for a planar domain (orders 1, 1/2, 0)."""
-    value = sum(_terms_2d(stat, dom, lam, z, (ONE, HALF, ZERO)))
-    if value < 0.0:
-        raise ModelError(
-            f"N(z) = {value:.6g} < 0 at lambda={lam:.6g}, z={z:.6g}; "
-            "corrections overwhelm the bulk term"
-        )
-    return value
+def log_grand_potential(stat: StatKind, container: PlanarDomain | TubeDomain,
+                        lam: float, z: float) -> float:
+    """ln Xi: orders 2, 3/2, 1 for a planar domain, 5/2, 2, 3/2 for a tube."""
+    return _nonnegative_sum("ln Xi", stat, container, lam, z, 1)
 
 
-def log_grand_potential_tube(stat: StatKind, tube: TubeDomain, lam: float, z: float) -> float:
-    """ln Xi for a uniform tube (orders 5/2, 2, 3/2)."""
-    value = sum(_terms_tube(stat, tube, lam, z, (FIVE_HALVES, TWO, THREE_HALVES)))
-    if value < 0.0:
-        raise ModelError(
-            f"ln Xi = {value:.6g} < 0 at lambda={lam:.6g}, z={z:.6g}; "
-            "corrections overwhelm the bulk term"
-        )
-    return value
-
-
-def particle_number_tube(stat: StatKind, tube: TubeDomain, lam: float, z: float) -> float:
-    """Particle number for a uniform tube (orders 3/2, 1, 1/2)."""
-    value = sum(_terms_tube(stat, tube, lam, z, (THREE_HALVES, ONE, HALF)))
-    if value < 0.0:
-        raise ModelError(
-            f"N(z) = {value:.6g} < 0 at lambda={lam:.6g}, z={z:.6g}; "
-            "corrections overwhelm the bulk term"
-        )
-    return value
+def particle_number(stat: StatKind, container: PlanarDomain | TubeDomain,
+                    lam: float, z: float) -> float:
+    """N(z): orders 1, 1/2, 0 for a planar domain, 3/2, 1, 1/2 for a tube."""
+    return _nonnegative_sum("N(z)", stat, container, lam, z, 0)
 
 
 # ---------------------------------------------------------------------------
 # fugacity solver
 # ---------------------------------------------------------------------------
 
-def _particle_terms(stat, container, lam, z, z_max, abs_budget=None):
-    if isinstance(container, TubeDomain):
-        return _terms_tube(
-            stat, container, lam, z, (THREE_HALVES, ONE, HALF), z_max, abs_budget
-        )
-    return _terms_2d(stat, container, lam, z, (ONE, HALF, ZERO), z_max, abs_budget)
+def bracketed_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
+                   target: float) -> tuple[float, float]:
+    """Regula falsi for f on [lo, hi], where f(lo) and f(hi) differ in sign.
 
+    When the same end of the bracket moves twice in a row, the value kept
+    at the other end is scaled down (Anderson and Bjorck, BIT 13 (1973)
+    253), so neither end stalls.  Every third step bisects unless the two
+    steps before it have halved the bracket, so the loop ends within about
+    three times the bisection count.
 
-def _particle_number_derivative(stat, container, lam, z, z_max, abs_budget=None):
-    """Analytic z * dN/dz via the order-lowering property z h' = h_(s-1)."""
-    if isinstance(container, TubeDomain):
-        terms = _terms_tube(
-            stat, container, lam, z, (HALF, ZERO, MINUS_HALF), z_max, abs_budget
-        )
-    else:
-        terms = _terms_2d(
-            stat, container, lam, z, (ZERO, MINUS_HALF, MINUS_ONE), z_max, abs_budget
-        )
-    return sum(terms)
+    Returns (x, f(x)) at the first point with |f(x)| <= target.  Once the
+    bracket has collapsed to adjacent floats it returns the endpoint with
+    the smaller |f|, which the caller must check.
+    """
+    if abs(f_lo) <= target or abs(f_hi) <= target:
+        return (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    side = steps = 0
+    width = hi - lo
+    while True:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        steps += 1
+        if steps == 3:
+            if hi - lo > 0.5 * width:
+                x = lo + 0.5 * (hi - lo)
+            steps, width = 0, hi - lo
+        if not lo < x < hi:
+            x = lo + 0.5 * (hi - lo)
+            if not lo < x < hi:
+                return (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+        fx = f(x)
+        if abs(fx) <= target:
+            return x, fx
+        if (fx < 0.0) == (f_lo < 0.0):
+            if side == 1:
+                m = 1.0 - fx / f_lo
+                f_hi *= m if m > 0.0 else 0.5
+            lo, f_lo = x, fx
+            side = 1
+        else:
+            if side == -1:
+                m = 1.0 - fx / f_hi
+                f_lo *= m if m > 0.0 else 0.5
+            hi, f_hi = x, fx
+            side = -1
 
 
 def solve_fugacity(
@@ -231,7 +229,8 @@ def solve_fugacity(
         Statistics, geometry (planar domain or tube), particle count and
         temperature.
     tol :
-        Relative residual target: |N(z) - N| <= tol * N at the returned z.
+        Relative residual target: |N(z) - N| <= tol * N at the returned z,
+        up to the certified error of the h values that N(z) sums.
     z_max, warn_wavelength, warn_boundary :
         Fermi fugacity cap and validity warning thresholds.
 
@@ -248,13 +247,17 @@ def solve_fugacity(
     NonMonotoneError
         The particle-number equation is decreasing at the root; the
         corrections are too large for the model to be trusted here.
+    AccuracyError
+        The bracket shrank to adjacent floats before the residual met the
+        target.
     """
     if not (N > 0.0) or not math.isfinite(N):
         raise DomainError(f"particle number must be positive, got {N}")
-    if tol <= 0.0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not (tol > 0.0) or not math.isfinite(tol):
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     lam = thermal_wavelength(T)
     bose = stat is StatKind.BOSE
+    weights, shift, area = _model(container, lam)
 
     # The residual only needs a fraction of tol*N absolute accuracy; the
     # per-term budget keeps the series length finite near the Bose
@@ -263,14 +266,10 @@ def solve_fugacity(
     budget = 0.25 * tol * N
 
     def residual(z: float) -> float:
-        return sum(_particle_terms(stat, container, lam, z, z_max, budget)) - N
+        return sum(_weighted_terms(stat, weights, shift, 0, z, z_max, budget)) - N
 
     # Boltzmann seed: N(z) ~ z * (states within lambda), clipped into range.
-    if isinstance(container, TubeDomain):
-        scale = container.length_z * container.cross_section.area / lam**3
-    else:
-        scale = container.area / lam**2
-    seed = N / scale if scale > 0 else 0.5
+    seed = N / weights[0] if weights[0] > 0 else 0.5
     z_cap = 1.0 - BOSE_CONDENSATION_MARGIN if bose else z_max
     z0 = min(max(seed, 1e-280), 0.5 if bose else z_cap / 2.0)
 
@@ -294,20 +293,11 @@ def solve_fugacity(
             raise
 
     lo = hi = z0
-    f0 = residual_guarded(z0)
-    if f0 == 0.0:
-        lo = hi = z0
-        f_lo = f_hi = 0.0
-    elif f0 < 0.0:
-        lo, f_lo = z0, f0
+    f_lo = f_hi = f0 = residual_guarded(z0)
+    if f0 < 0.0:
         prev = f0
         while True:
-            if bose:
-                nxt = 1.0 - (1.0 - lo) / 2.0
-                if nxt >= z_cap:
-                    nxt = z_cap
-            else:
-                nxt = min(lo * 2.0, z_cap)
+            nxt = min(1.0 - (1.0 - lo) / 2.0 if bose else lo * 2.0, z_cap)
             f_nxt = residual_guarded(nxt)
             if f_nxt >= 0.0:
                 hi, f_hi = nxt, f_nxt
@@ -328,8 +318,7 @@ def solve_fugacity(
                     f"N = {N:.6g} is not reachable below the Fermi fugacity cap {z_cap}"
                 )
             lo, f_lo, prev = nxt, f_nxt, f_nxt
-    else:
-        hi, f_hi = z0, f0
+    elif f0 > 0.0:
         while True:
             nxt = lo / 4.0
             if nxt <= 1e-300:
@@ -343,44 +332,26 @@ def solve_fugacity(
                 break
             hi, f_hi = nxt, f_nxt
 
-    if lo == hi:
-        z_star = lo
-    else:
-        z_star = brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-
-    res = residual(z_star)
-    if abs(res) > tol * N:
-        # One guarded re-polish by local bisection before giving up.
-        a, b = (lo, hi) if lo < hi else (hi, lo)
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = residual(mid)
-            if abs(fm) <= tol * N:
-                z_star, res = mid, fm
-                break
-            if (fm < 0.0) == (f_lo < 0.0):
-                a = mid
-            else:
-                b = mid
-        else:
-            raise AccuracyError(
-                f"fugacity solver stalled at residual {res:.3e} (target {tol * N:.3e})",
-                achieved=abs(res),
-            )
+    z_star, res = bracketed_root(residual, lo, f_lo, hi, f_hi, tol * N)
+    if not abs(res) <= tol * N:
+        raise AccuracyError(
+            f"fugacity solver stalled at residual {res:.3e} (target {tol * N:.3e})",
+            achieved=abs(res),
+        )
 
     # Branch check: the analytic slope must be positive at the root.  Only
     # its sign matters, so a coarse budget (error <= 3/4 of it) is tried
     # first and tightened only when the sign is not yet certain.  A slope
     # that cannot be certified this close to the Bose condensation point is
     # refused the same way a non-monotone one is.
+    def slope(abs_budget: float) -> float:
+        return sum(_weighted_terms(stat, weights, shift, -1, z_star, z_max, abs_budget))
+
     try:
         deriv_budget = max(N, 16.0 * budget)
-        deriv = _particle_number_derivative(stat, container, lam, z_star, z_max, deriv_budget)
+        deriv = slope(deriv_budget)
         if abs(deriv) <= deriv_budget:
-            deriv = _particle_number_derivative(
-                stat, container, lam, z_star, z_max,
-                max(0.05 * abs(deriv), 4.0 * budget),
-            )
+            deriv = slope(max(0.05 * abs(deriv), 4.0 * budget))
     except AccuracyError as exc:
         raise NonMonotoneError(
             f"cannot certify that the particle number is increasing at "
@@ -392,12 +363,7 @@ def solve_fugacity(
             "boundary/topology corrections dominate and the model is invalid here"
         )
 
-    bulk, boundary, topology = _particle_terms(stat, container, lam, z_star, z_max, budget)
-    area = (
-        container.cross_section.area
-        if isinstance(container, TubeDomain)
-        else container.area
-    )
+    bulk, boundary, topology = _weighted_terms(stat, weights, shift, 0, z_star, z_max, budget)
     ratio_wavelength = lam / math.sqrt(area)
     ratio_boundary = abs(boundary) / abs(bulk) if bulk != 0.0 else math.inf
     ratio_topology = abs(topology) / abs(bulk) if bulk != 0.0 else math.inf
@@ -436,10 +402,10 @@ def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasSta
     """Pressure from P * measure = T * ln Xi (k_B = 1).
 
     For a planar domain the measure is the area (spreading pressure); for a
-    tube it is the volume length_z * area.
+    tube it is the volume length_z * area.  Each tube adds one dimension and
+    one half-order step, so the measure is the bulk weight times
+    lam^(2 + shift).
     """
-    if isinstance(container, TubeDomain):
-        ln_xi = log_grand_potential_tube(stat, container, state.lam, state.z)
-        return state.T * ln_xi / (container.length_z * container.cross_section.area)
-    ln_xi = log_grand_potential_2d(stat, container, state.lam, state.z)
-    return state.T * ln_xi / container.area
+    weights, shift, _ = _model(container, state.lam)
+    ln_xi = log_grand_potential(stat, container, state.lam, state.z)
+    return state.T * ln_xi / (weights[0] * state.lam ** (2 + shift))

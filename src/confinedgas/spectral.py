@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bessel import cross_product_zeros_up_to, j_zeros_up_to
+from .eos import bracketed_root
 from .errors import (
     DomainError,
     NoBracketError,
@@ -279,26 +279,36 @@ def exact_thermo(stat: StatKind, spec: Spectrum, N: float, T: float
             occ = fermi_occ(x)
         return float(np.dot(mult, occ))
 
+    # ln(sum/N) rather than sum - N: the log of the sum is close to linear in
+    # u far below the ground state, so regula falsi converges from the wide
+    # starting bracket.
+    def excess(u: float) -> float:
+        occ = occupancy_sum(u)
+        return math.log(occ) - math.log(N) if occ > 0.0 else -math.inf
+
     if bose:
         u_hi = float(beta_mu[0]) - 1e-13 * max(1.0, float(beta_mu[0]))
         u_lo = u_hi - 1400.0
-        if occupancy_sum(u_hi) < N:
+        f_hi = excess(u_hi)
+        if f_hi < 0.0:
             raise NoBracketError(
                 f"N = {N} is not reachable below the ground-state saturation "
                 "of this finite spectrum"
             )
     else:
         u_lo, u_hi = -700.0, 700.0
-        if occupancy_sum(u_hi) < N:
+        f_hi = excess(u_hi)
+        if f_hi < 0.0:
             raise NoBracketError(
                 f"N = {N} exceeds the capacity of the enumerated spectrum "
                 f"at the fugacity cap (capacity ~{occupancy_sum(u_hi):.6g})"
             )
-    if occupancy_sum(u_lo) > N:
+    f_lo = excess(u_lo)
+    if f_lo > 0.0:
         raise NoBracketError(f"N = {N} is below the reachable range")
 
-    u_star = brentq(lambda u: occupancy_sum(u) - N, u_lo, u_hi,
-                    xtol=1e-14, rtol=8.9e-16, maxiter=300)
+    # A zero target runs the bracket down to adjacent floats.
+    u_star, _ = bracketed_root(excess, u_lo, f_lo, u_hi, f_hi, 0.0)
     z = math.exp(u_star)
 
     # For fermions a large chemical potential shifts the occupancy tail; the

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from confinedgas.eos import particle_number_2d, solve_fugacity
+from confinedgas.eos import particle_number, solve_fugacity
 from confinedgas.geometry import (
     Annulus,
     Disk,
@@ -298,8 +298,8 @@ def test_criterion_10_solver_robustness_grid():
     # reaches the target fugacity extreme exactly.
     grids = {}
     for stat, z_top in ((BOSE, 0.999), (FERMI, 1e3)):
-        n_lo = particle_number_2d(stat, dom, lam_cold, 1e-4)
-        n_hi = particle_number_2d(stat, dom, lam_cold, z_top)
+        n_lo = particle_number(stat, dom, lam_cold, 1e-4)
+        n_hi = particle_number(stat, dom, lam_cold, z_top)
         grids[stat] = np.logspace(math.log10(n_lo), math.log10(n_hi), 50)
 
     z_seen = {BOSE: [], FERMI: []}
@@ -310,7 +310,7 @@ def test_criterion_10_solver_robustness_grid():
             for T in temps:
                 state, rep = solve_fugacity(stat, dom, float(n_particles), float(T),
                                             tol=2.5e-13)
-                got = particle_number_2d(stat, dom, state.lam, state.z)
+                got = particle_number(stat, dom, state.lam, state.z)
                 worst_resid = max(worst_resid, abs(got - n_particles) / n_particles)
                 z_seen[stat].append(state.z)
                 if stat is FERMI and state.z > 1.0 + 8e-15:

@@ -79,6 +79,14 @@ class TestMalformedInput:
               "--N", "5", "--T", "100"), "GeometryError"),
             (("table", "--stat", "bose", "--shape", "disk:1", "--N", "5",
               "--T-grid", "a:b:c"), "DomainError"),
+            (("table", "--stat", "fermi", "--shape", "disk:1", "--N", "10",
+              "--T-grid", "100:200:3", "--Lz", "-5"), "GeometryError"),
+            (("table", "--stat", "fermi", "--shape", "disk:1", "--N", "10",
+              "--T-grid", "100:200:3", "--Lz", "5"), "GeometryError"),
+            (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
+              "--tol", "nan"), "DomainError"),
+            (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
+              "--tol", "inf"), "DomainError"),
             (("verify", "--suite", "heatkernel", "--t-list", "0.1,x"), "DomainError"),
             (("specfun", "--stat", "fermi", "--order", "1/0", "--z", "1"), "DomainError"),
         ]

@@ -1,13 +1,20 @@
 """Tests for grand potentials, particle-number equations and the solver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confinedgas import eos
 from confinedgas.errors import (
     AccuracyError,
+    ConfinedGasError,
     DomainError,
     ModelError,
     NoBracketError,
@@ -15,10 +22,8 @@ from confinedgas.errors import (
 )
 from confinedgas.eos import (
     GasState,
-    log_grand_potential_2d,
-    log_grand_potential_tube,
-    particle_number_2d,
-    particle_number_tube,
+    log_grand_potential,
+    particle_number,
     pressure,
     solve_fugacity,
 )
@@ -35,6 +40,7 @@ from confinedgas.geometry import (
 from confinedgas.statfun import StatKind, eval_h
 
 BOSE, FERMI = StatKind.BOSE, StatKind.FERMI
+EPS = sys.float_info.epsilon
 
 
 def h(stat, sigma, z):
@@ -45,13 +51,13 @@ class TestGrandPotential2D:
     def test_free_space_reduction(self):
         dom = free_plane(5.0)
         for stat in (BOSE, FERMI):
-            got = log_grand_potential_2d(stat, dom, 0.5, 0.7)
+            got = log_grand_potential(stat, dom, 0.5, 0.7)
             assert got == pytest.approx(5.0 / 0.25 * h(stat, 2, 0.7), rel=1e-12)
 
     def test_one_hole_kills_connectivity_term(self):
         dom = make_domain(Annulus(1.0, 2.0))
         lam, z = 0.1, 0.5
-        got = log_grand_potential_2d(BOSE, dom, lam, z)
+        got = log_grand_potential(BOSE, dom, lam, z)
         want = (dom.area / lam**2 * h(BOSE, 2, z)
                 - 0.25 * dom.perimeter / lam * h(BOSE, 1.5, z))
         assert got == pytest.approx(want, rel=1e-13)
@@ -62,18 +68,18 @@ class TestGrandPotential2D:
         want = (math.pi / 0.25 * h(BOSE, 2, z)
                 - 0.25 * (2 * math.pi) / 0.5 * h(BOSE, 1.5, z)
                 + (1.0 / 6.0) * h(BOSE, 1, z))
-        assert log_grand_potential_2d(BOSE, dom, lam, z) == pytest.approx(want, rel=1e-13)
+        assert log_grand_potential(BOSE, dom, lam, z) == pytest.approx(want, rel=1e-13)
 
     def test_model_error_when_negative(self):
         dom = make_domain(Rectangle(1.0, 1.0))
         with pytest.raises(ModelError):
-            log_grand_potential_2d(BOSE, dom, 2.5, 1e-6)
+            log_grand_potential(BOSE, dom, 2.5, 1e-6)
 
 
 class TestParticleNumber2D:
     def test_free_space_reduction(self):
         dom = free_plane(5.0)
-        got = particle_number_2d(FERMI, dom, 0.5, 0.7)
+        got = particle_number(FERMI, dom, 0.5, 0.7)
         assert got == pytest.approx(5.0 / 0.25 * math.log(1.7), rel=1e-12)
 
     def test_small_z_linearisation_equals_state_sum(self):
@@ -82,7 +88,7 @@ class TestParticleNumber2D:
         lam = 0.2
         z = 1e-10
         for stat in (BOSE, FERMI):
-            got = particle_number_2d(stat, dom, lam, z) / z
+            got = particle_number(stat, dom, lam, z) / z
             assert got == pytest.approx(weyl_state_sum(dom, lam), rel=1e-8)
 
     def test_boltzmann_seed_regime(self):
@@ -95,7 +101,7 @@ class TestParticleNumber2D:
         lo, hi = 1e-12, 0.999
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if particle_number_2d(BOSE, dom, state.lam, mid) < 10.0:
+            if particle_number(BOSE, dom, state.lam, mid) < 10.0:
                 lo = mid
             else:
                 hi = mid
@@ -108,10 +114,10 @@ class TestTubeEquations:
         tube = TubeDomain(free_plane(2.0), 300.0)
         lam, z = 0.5, 0.6
         for stat in (BOSE, FERMI):
-            got = log_grand_potential_tube(stat, tube, lam, z)
+            got = log_grand_potential(stat, tube, lam, z)
             want = 300.0 * 2.0 / lam**3 * h(stat, 2.5, z)
             assert got == pytest.approx(want, rel=1e-12)
-            got_n = particle_number_tube(stat, tube, lam, z)
+            got_n = particle_number(stat, tube, lam, z)
             assert got_n == pytest.approx(300.0 * 2.0 / lam**3 * h(stat, 1.5, z),
                                           rel=1e-12)
 
@@ -121,7 +127,7 @@ class TestTubeEquations:
         dom = tube.cross_section
         want = (500.0 * dom.area / lam**3 * h(BOSE, 2.5, z)
                 - 0.25 * 500.0 * dom.perimeter / lam**2 * h(BOSE, 2, z))
-        assert log_grand_potential_tube(BOSE, tube, lam, z) == pytest.approx(
+        assert log_grand_potential(BOSE, tube, lam, z) == pytest.approx(
             want, rel=1e-13)
 
     def test_fermi_extension_composition(self):
@@ -131,7 +137,7 @@ class TestTubeEquations:
         want = (200.0 * dom.area / lam**3 * h(FERMI, 2.5, z)
                 - 0.25 * 200.0 * dom.perimeter / lam**2 * h(FERMI, 2, z)
                 + (1.0 / 6.0) * 200.0 / lam * h(FERMI, 1.5, z))
-        assert log_grand_potential_tube(FERMI, tube, lam, z) == pytest.approx(
+        assert log_grand_potential(FERMI, tube, lam, z) == pytest.approx(
             want, rel=1e-12)
 
     def test_small_z_linearisation(self):
@@ -141,14 +147,14 @@ class TestTubeEquations:
         want = (200.0 * dom.area / lam**3
                 - 0.25 * 200.0 * dom.perimeter / lam**2
                 + (1.0 - dom.holes) * 200.0 / (6.0 * lam))
-        got = particle_number_tube(BOSE, tube, lam, z) / z
+        got = particle_number(BOSE, tube, lam, z) / z
         assert got == pytest.approx(want, rel=1e-8)
 
     def test_monotone_in_z_on_valid_states(self):
         tube = TubeDomain(make_domain(Disk(1.0)), 500.0)
         lam = thermal_wavelength(100.0)
         zs = np.linspace(0.01, 0.98, 60)
-        vals = [particle_number_tube(BOSE, tube, lam, float(z)) for z in zs]
+        vals = [particle_number(BOSE, tube, lam, float(z)) for z in zs]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -174,11 +180,11 @@ class TestSolveFugacity:
         state, report = solve_fugacity(FERMI, dom, N=100.0, T=T)
         assert state.z > 1.0
         assert report.fermi_extension_used
-        resid = abs(particle_number_2d(FERMI, dom, state.lam, state.z) - 100.0)
+        resid = abs(particle_number(FERMI, dom, state.lam, state.z) - 100.0)
         assert resid < 1e-12 * 100.0
         # independent dense-grid sign-change localisation
         zs = np.linspace(0.9 * state.z, 1.1 * state.z, 400)
-        signs = [particle_number_2d(FERMI, dom, state.lam, float(z)) - 100.0 for z in zs]
+        signs = [particle_number(FERMI, dom, state.lam, float(z)) - 100.0 for z in zs]
         crossings = [i for i in range(len(zs) - 1) if (signs[i] < 0) != (signs[i + 1] < 0)]
         assert len(crossings) == 1
         assert zs[crossings[0]] <= state.z <= zs[crossings[0] + 1]
@@ -192,7 +198,7 @@ class TestSolveFugacity:
             lam = thermal_wavelength(T)
             N = float(rng.uniform(0.05, 1.2)) * dom.area / lam**2
             state, _ = solve_fugacity(stat, dom, N, T)
-            got = particle_number_2d(stat, dom, state.lam, state.z)
+            got = particle_number(stat, dom, state.lam, state.z)
             assert abs(got - N) <= 2e-12 * N
 
     def test_near_condensation_refused(self):
@@ -204,11 +210,20 @@ class TestSolveFugacity:
     def test_fermi_cap_refused(self):
         with pytest.raises(NoBracketError):
             solve_fugacity(FERMI, make_domain(Disk(1.0)), N=1e4, T=500.0, z_max=2.0)
+        tube = TubeDomain(make_domain(Disk(1.0)), 500.0)
+        with pytest.raises(NoBracketError):  # lam = 2.5e150: lam^3 is not finite
+            solve_fugacity(FERMI, tube, N=1.0, T=1e-300)
 
     def test_non_monotone_path_triggers(self, monkeypatch):
         """A decreasing particle-number equation must raise NonMonotoneError."""
-        monkeypatch.setattr(eos, "_particle_number_derivative",
-                            lambda *args, **kwargs: -1.0)
+        weighted_terms = eos._weighted_terms
+
+        def falling_slope(stat, weights, shift, offset, *args, **kwargs):
+            if offset == -1:  # the z dN/dz sum of the branch check
+                return (-1.0, 0.0, 0.0)
+            return weighted_terms(stat, weights, shift, offset, *args, **kwargs)
+
+        monkeypatch.setattr(eos, "_weighted_terms", falling_slope)
         with pytest.raises(NonMonotoneError):
             solve_fugacity(BOSE, make_domain(Disk(1.0)), N=10.0, T=500.0)
 
@@ -218,8 +233,9 @@ class TestSolveFugacity:
             solve_fugacity(BOSE, dom, N=-1.0, T=10.0)
         with pytest.raises(DomainError):
             solve_fugacity(BOSE, dom, N=1.0, T=-10.0)
-        with pytest.raises(DomainError):
-            solve_fugacity(BOSE, dom, N=1.0, T=10.0, tol=0.0)
+        for tol in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                solve_fugacity(BOSE, dom, N=1.0, T=10.0, tol=tol)
 
     def test_warnings_carry_thresholds(self):
         dom = make_domain(Disk(1.0))
@@ -241,7 +257,7 @@ class TestSolveFugacity:
         tube = TubeDomain(make_domain(Disk(1.0)), 500.0)
         for stat in (BOSE, FERMI):
             state, report = solve_fugacity(stat, tube, N=2000.0, T=100.0)
-            got = particle_number_tube(stat, tube, state.lam, state.z)
+            got = particle_number(stat, tube, state.lam, state.z)
             assert abs(got - 2000.0) <= 2e-12 * 2000.0
 
 
@@ -252,8 +268,8 @@ class TestCorrectionSigns:
         dom_free = free_plane(dom.area)
         lam, z = 0.15, 0.5
         for stat in (BOSE, FERMI):
-            confined = log_grand_potential_2d(stat, dom, lam, z)
-            free = log_grand_potential_2d(stat, dom_free, lam, z)
+            confined = log_grand_potential(stat, dom, lam, z)
+            free = log_grand_potential(stat, dom_free, lam, z)
             assert confined < free
             boundary = -0.25 * dom.perimeter / lam * h(stat, 1.5, z)
             topology = (1.0 - dom.holes) / 6.0 * h(stat, 1, z)
@@ -279,12 +295,89 @@ class TestPressure:
         st_c, _ = solve_fugacity(BOSE, dom, N, T)
         st_f, _ = solve_fugacity(BOSE, dom_free, N, T)
         # Same (lam, z): each correction term is negative for r = 0.
-        assert log_grand_potential_2d(BOSE, dom, st_f.lam, st_f.z) < \
-            log_grand_potential_2d(BOSE, dom_free, st_f.lam, st_f.z)
+        assert log_grand_potential(BOSE, dom, st_f.lam, st_f.z) < \
+            log_grand_potential(BOSE, dom_free, st_f.lam, st_f.z)
 
     def test_tube_pressure_measure(self):
         tube = TubeDomain(free_plane(2.0), 400.0)
         state, _ = solve_fugacity(FERMI, tube, N=100.0, T=50.0)
         p = pressure(FERMI, tube, state)
-        ln_xi = log_grand_potential_tube(FERMI, tube, state.lam, state.z)
+        ln_xi = log_grand_potential(FERMI, tube, state.lam, state.z)
         assert p == pytest.approx(state.T * ln_xi / (400.0 * 2.0), rel=1e-12)
+
+
+def particle_number_error(stat, container, lam, z):
+    """Certified error of particle_number at z: the weighted bounds of its
+    h values plus the rounding of the weighted sum."""
+    tube = isinstance(container, TubeDomain)
+    dom = container.cross_section if tube else container
+    weights = [dom.area / lam**2, dom.perimeter / (4.0 * lam), (1.0 - dom.holes) / 6.0]
+    orders = (1.0, 0.5, 0.0)
+    if tube:
+        weights = [w * container.length_z / lam for w in weights]
+        orders = (1.5, 1.0, 0.5)
+    err = 0.0
+    for w, sigma in zip(weights, orders):
+        fv = eval_h(stat, sigma, z)
+        err += abs(w) * (fv.abs_error_bound + 4.0 * EPS * abs(fv.value))
+    return err
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    stat=st.sampled_from((BOSE, FERMI)),
+    shape=st.sampled_from((Disk(1.0), Rectangle(2.0, 0.5), Annulus(0.5, 1.5))),
+    tube=st.booleans(),
+    aspect=st.floats(150.0, 400.0),
+    log10_ratio=st.floats(-2.5, 0.0),
+    log10_fill=st.floats(-8.0, 1.5),
+    tol=st.sampled_from((1e-12, 2.5e-13, 1e-8)),
+)
+def test_solve_fugacity_meets_residual_or_refuses(stat, shape, tube, aspect, log10_ratio,
+                                                  log10_fill, tol):
+    """Planar domains and tubes of length aspect*sqrt(area), lam/sqrt(area)
+    log-uniform on [0.003, 1] and N = fill * (bulk state count) with fill
+    log-uniform on [1e-8, 30]: the solver returns a finite z > 0 whose
+    residual is within tol*N, or refuses with a ConfinedGasError (never
+    ValueError, ZeroDivisionError, OverflowError or a NaN).
+
+    The residual is taken from particle_number, whose h values carry a 1e-12
+    tail target; where the corrections cancel most of the bulk term, that
+    evaluation's own certified error exceeds tol*N and is allowed for."""
+    dom = make_domain(shape)
+    container = TubeDomain(dom, aspect * math.sqrt(dom.area)) if tube else dom
+    lam = 10.0**log10_ratio * math.sqrt(dom.area)
+    T = 2.0 * math.pi / lam**2
+    bulk = dom.area / lam**2
+    if tube:
+        bulk *= container.length_z / lam
+    N = 10.0**log10_fill * bulk
+    try:
+        state, _ = solve_fugacity(stat, container, N, T, tol)
+    except ConfinedGasError:
+        return
+    assert math.isfinite(state.z) and state.z > 0.0
+    resid = abs(particle_number(stat, container, state.lam, state.z) - N)
+    assert resid <= tol * N + particle_number_error(stat, container, state.lam, state.z)
+
+
+def test_scipy_stays_off_the_import_path():
+    """Only the spectral oracle loads scipy; the rest of the package and the
+    CLI start without it."""
+    probe = (
+        "import sys, importlib\n"
+        "for name in sys.argv[1:]:\n"
+        "    importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(eos.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def loaded_scipy(*modules):
+        return subprocess.run([sys.executable, "-c", probe, *modules], env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    assert loaded_scipy("confinedgas.cli") == "[]"
+    assert loaded_scipy("confinedgas.geometry", "confinedgas.thermo") == "[]"
+    assert "scipy.special" in loaded_scipy("confinedgas.spectral")
