@@ -33,6 +33,7 @@ from .statfun import (
     eval_h_closed_form,
     eval_h_inversion,
     eval_h_series,
+    h_orders,
 )
 from .geometry import (
     Annulus,

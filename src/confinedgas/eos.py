@@ -39,7 +39,7 @@ from .errors import (
     NonMonotoneError,
 )
 from .geometry import PlanarDomain, TubeDomain, thermal_wavelength
-from .statfun import FERMI_Z_MAX, Order, StatKind, eval_h
+from .statfun import FERMI_Z_MAX, Order, StatKind, h_orders
 
 __all__ = [
     "GasState",
@@ -112,40 +112,71 @@ def _model(container: PlanarDomain | TubeDomain, lam: float):
     return weights, 0, container.area
 
 
-def _weighted_terms(stat, weights, shift, offset, z, z_max=FERMI_Z_MAX, abs_budget=None):
-    """The three terms weight_i * h_(order_i)(z) of the state sum.
+#: The orders of the three terms of a state sum, by twice the shift and the
+#: offset: (1 + offset, 1/2 + offset, offset), raised by shift/2.
+_ORDERS = {
+    (shift, offset): tuple(Order(2 + 2 * offset + shift - k) for k in range(3))
+    for shift in (0, 1)
+    for offset in (-1, 0, 1)
+}
 
-    The planar orders are (1 + offset, 1/2 + offset, offset), raised by
-    shift/2: offset +1 gives ln Xi, 0 gives N and -1 gives z dN/dz (by the
-    order-lowering property z h_s' = h_(s-1)).
+
+def _h_table(stat, z, orders, z_max=FERMI_Z_MAX):
+    """{order: h_order(z)} from one h_orders call."""
+    return {o: fv.value for o, fv in zip(orders, h_orders(stat, z, orders, z_max))}
+
+
+def _terms(weights, shift, offset, h):
+    """The three terms weight_i * h_(order_i)(z), with h from a table.
+
+    Offset +1 gives ln Xi, 0 gives N and -1 gives z dN/dz (by the
+    order-lowering property z h_s' = h_(s-1)).  A zero weight gives 0.0 and
+    needs no table entry.
+    """
+    return tuple(w * h[o] if w != 0.0 else 0.0 for w, o in zip(weights, _ORDERS[shift, offset]))
+
+
+def _state_sum(stat, weights, shift, offset, z_max=FERMI_Z_MAX, abs_budget=None):
+    """z -> the three terms weight_i * h_(order_i)(z) of one state sum, each
+    evaluation one h_orders call.
 
     When ``abs_budget`` is given, each series evaluation only needs
     budget/(4*|weight|) of tail accuracy for the weighted sum to stay within
     the budget; near the Bose condensation point this is what keeps the
     series length finite.  Zero weights are skipped outright.
     """
-    top = 2 + 2 * offset + shift
-    out = []
-    for w, twice in zip(weights, (top, top - 1, top - 2)):
-        if w == 0.0:
-            out.append(0.0)
-            continue
-        tail = None
-        if abs_budget is not None:
-            tail = max(1e-15, min(abs_budget / (4.0 * abs(w)), 1e-6))
-        out.append(w * eval_h(stat, Order(twice), z, z_max=z_max, tail_bound=tail).value)
-    return tuple(out)
+    live = [i for i, w in enumerate(weights) if w != 0.0]
+    orders = [_ORDERS[shift, offset][i] for i in live]
+    tails = None
+    if abs_budget is not None:
+        tails = [max(1e-15, min(abs_budget / (4.0 * abs(weights[i])), 1e-6)) for i in live]
+
+    def terms(z: float) -> tuple[float, float, float]:
+        out = [0.0, 0.0, 0.0]
+        for i, fv in zip(live, h_orders(stat, z, orders, z_max, tails)):
+            out[i] = weights[i] * fv.value
+        return tuple(out)
+
+    return terms
 
 
-def _nonnegative_sum(label, stat, container, lam, z, offset):
-    weights, shift, _ = _model(container, lam)
-    value = sum(_weighted_terms(stat, weights, shift, offset, z))
+def _weighted_terms(stat, weights, shift, offset, z, z_max=FERMI_Z_MAX, abs_budget=None):
+    """The three terms of one state sum at z; see ``_state_sum``."""
+    return _state_sum(stat, weights, shift, offset, z_max, abs_budget)(z)
+
+
+def _nonnegative(label, value, lam, z):
     if value < 0.0:
         raise ModelError(
             f"{label} = {value:.6g} < 0 at lambda={lam:.6g}, z={z:.6g}; "
             "corrections overwhelm the bulk term"
         )
     return value
+
+
+def _nonnegative_sum(label, stat, container, lam, z, offset):
+    weights, shift, _ = _model(container, lam)
+    return _nonnegative(label, sum(_weighted_terms(stat, weights, shift, offset, z)), lam, z)
 
 
 def log_grand_potential(stat: StatKind, container: PlanarDomain | TubeDomain,
@@ -265,8 +296,14 @@ def solve_fugacity(
     # term cap.
     budget = 0.25 * tol * N
 
+    n_terms = _state_sum(stat, weights, shift, 0, z_max, budget)
+    # z and the terms of the latest residual, kept for the validity ratios.
+    last = [None, ()]
+
     def residual(z: float) -> float:
-        return sum(_weighted_terms(stat, weights, shift, 0, z, z_max, budget)) - N
+        terms = n_terms(z)
+        last[:] = z, terms
+        return sum(terms) - N
 
     # Boltzmann seed: N(z) ~ z * (states within lambda), clipped into range.
     seed = N / weights[0] if weights[0] > 0 else 0.5
@@ -363,7 +400,9 @@ def solve_fugacity(
             "boundary/topology corrections dominate and the model is invalid here"
         )
 
-    bulk, boundary, topology = _weighted_terms(stat, weights, shift, 0, z_star, z_max, budget)
+    if last[0] != z_star:
+        residual(z_star)
+    bulk, boundary, topology = last[1]
     ratio_wavelength = lam / math.sqrt(area)
     ratio_boundary = abs(boundary) / abs(bulk) if bulk != 0.0 else math.inf
     ratio_topology = abs(topology) / abs(bulk) if bulk != 0.0 else math.inf
@@ -407,5 +446,13 @@ def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasSta
     lam^(2 + shift).
     """
     weights, shift, _ = _model(container, state.lam)
-    ln_xi = log_grand_potential(stat, container, state.lam, state.z)
+    orders = [o for w, o in zip(weights, _ORDERS[shift, 1]) if w != 0.0]
+    return _pressure(container, state, _h_table(stat, state.z, orders))
+
+
+def _pressure(container, state: GasState, h) -> float:
+    """pressure() from a table {order: h value} at state.z that holds the
+    ln Xi orders."""
+    weights, shift, _ = _model(container, state.lam)
+    ln_xi = _nonnegative("ln Xi", sum(_terms(weights, shift, 1, h)), state.lam, state.z)
     return state.T * ln_xi / (weights[0] * state.lam ** (2 + shift))

@@ -14,8 +14,12 @@ Only the half-integer orders -1, -1/2, 0, 1/2, 1, 3/2, 2, 5/2 required by
 the confined-gas equations of state are constructible.
 
 Every evaluation returns a :class:`FunctionValue` carrying the value, a
-certified absolute error bound, and the method that produced it.  Method
-selection:
+certified absolute error bound, and the method that produced it.
+``h_orders`` evaluates several orders at one z in one call, as every state
+sum of the equations of state needs: it checks z once, computes the closed
+forms inline and shares the complex roots of Jonquiere's formula between
+the Fermi half-integer orders.  ``eval_h`` is its one-order form.  Nothing
+is memoised: equal arguments are simply recomputed.  Method selection:
 
 * exact closed forms for sigma in {1, 0, -1};
 * the defining power series for 0 < z <= 0.99 (and for all Bose z < 1,
@@ -34,7 +38,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +62,7 @@ __all__ = [
     "SERIES_TERM_CAP",
     "METHOD_SWITCH_Z",
     "eval_h",
+    "h_orders",
     "eval_h_closed_form",
     "eval_h_series",
     "eval_h_inversion",
@@ -208,11 +213,14 @@ def eval_h_closed_form(stat: StatKind, sigma, z: float) -> FunctionValue:
         raise DomainError(f"no closed form for sigma={sigma}")
     if stat is StatKind.BOSE and z >= 1.0:
         raise DomainError("Bose closed forms require z < 1 strictly")
+    return _closed_form(stat is StatKind.BOSE, sigma.twice, z)
 
-    bose = stat is StatKind.BOSE
-    if sigma == ONE:
+
+def _closed_form(bose: bool, twice: int, z: float) -> FunctionValue:
+    """h_sigma(z) for 2 sigma in {2, 0, -2}, with z already checked."""
+    if twice == 2:
         value = -math.log1p(-z) if bose else math.log1p(z)
-    elif sigma == ZERO:
+    elif twice == 0:
         value = z / (1.0 - z) if bose else z / (1.0 + z)
     else:
         value = z / (1.0 - z) ** 2 if bose else z / (1.0 + z) ** 2
@@ -285,12 +293,13 @@ def eval_h_series(
         n_hi = min(n_done + block, term_cap)
         n = np.arange(n_done + 1, n_hi + 1, dtype=np.float64)
         terms = np.exp(n * log_z - sig * np.log(n))
+        block_abs = float(np.sum(terms))
         if fermi:
             signs = np.where(np.asarray(np.mod(n, 2.0) == 1.0), 1.0, -1.0)
             total += float(np.sum(terms * signs))
         else:
-            total += float(np.sum(terms))
-        total_abs += float(np.sum(terms))
+            total += block_abs
+        total_abs += block_abs
         n_done = n_hi
         majorant = _series_tail_majorant(sig, z, n_done)
         if majorant <= tail_bound:
@@ -322,6 +331,7 @@ _BERNOULLI_2J = (
 #: Direct terms N and Bernoulli terms M of the Euler-Maclaurin Hurwitz zeta.
 _EM_DIRECT = 6
 _EM_BERNOULLI = len(_BERNOULLI_2J)
+_EM_SHIFTS = tuple(0.5 + k for k in range(_EM_DIRECT))
 
 #: Rounding allowance per unit of eps * sum|terms|: <= 16 per term (square
 #: root, up to three complex products and one quotient), <= 8 for the
@@ -349,12 +359,13 @@ class _Jonquiere:
 
     ``root_power`` is -2 sigma with sigma = 1 - s, so that
     p^(-sigma) = sqrt(p)^root_power; ``bernoulli`` holds the Euler-Maclaurin
-    coefficients B_2j/(2j)! (sigma)_(2j-1) highest j first, for Horner.
+    coefficients B_2j/(2j)! (sigma)_(2j-1) highest j first, for Horner,
+    each paired with its modulus.
     """
 
     sigma: float
     root_power: int
-    bernoulli: tuple[float, ...]
+    bernoulli: tuple[tuple[float, float], ...]
     remainder: float
     prefactor: complex
 
@@ -377,14 +388,34 @@ def _jonquiere(order: Order) -> _Jonquiere:
     quarter = order.twice % 8
     phase = complex(1.0 if quarter in (1, 7) else -1.0, 1.0 if quarter in (1, 3) else -1.0)
     scale = (2.0 * math.pi) ** float(s) / (math.sqrt(2.0) * math.gamma(float(s)))
-    return _Jonquiere(float(sigma), order.twice - 2, tuple(reversed(coefs)), remainder,
+    return _Jonquiere(float(sigma), order.twice - 2,
+                      tuple((coef, abs(coef)) for coef in reversed(coefs)), remainder,
                       scale * phase)
 
 
 _JONQUIERE = {o.twice: _jonquiere(o) for o in (MINUS_HALF, HALF, THREE_HALVES, FIVE_HALVES)}
 
 
-def _fermi_jonquiere(order: Order, z: float) -> tuple[float, float]:
+class _Nodes(NamedTuple):
+    """The parts of Jonquiere's formula that depend on z but not on s:
+    t = ln z/(2 pi), the roots sqrt(a + k) of the direct terms, and the
+    Euler-Maclaurin point w = a + N with its root and x = 1/w^2."""
+
+    t: float
+    roots: list[complex]
+    w: complex
+    w_root: complex
+    x: complex
+
+
+def _jonquiere_nodes(z: float) -> _Nodes:
+    t = math.log(z) / (2.0 * math.pi)
+    roots = [cmath.sqrt(complex(a, -t)) for a in _EM_SHIFTS]
+    w = complex(0.5 + _EM_DIRECT, -t)
+    return _Nodes(t, roots, w, cmath.sqrt(w), 1.0 / (w * w))
+
+
+def _fermi_jonquiere(order: Order, nodes: _Nodes) -> tuple[float, float]:
     """f_s(z) and an absolute error bound for half-integer s, any z > 0.
 
     Jonquiere's inversion formula (DLMF 25.12.13) with a = 1/2 - i ln(z)/(2 pi):
@@ -393,26 +424,26 @@ def _fermi_jonquiere(order: Order, z: float) -> tuple[float, float]:
 
     The formula's second term, e^(i pi s) Li_s(-1/z), is purely imaginary
     for half-integer s, so taking the real part removes it.  zeta(sigma, a)
-    is summed by Euler-Maclaurin with N direct and M Bernoulli terms.
+    is summed by Euler-Maclaurin with N direct and M Bernoulli terms.  Only
+    the powers of the shared roots and the Horner loop depend on s.
     """
     c = _JONQUIERE[order.twice]
-    t = math.log(z) / (2.0 * math.pi)
+    t = nodes.t
     power = c.root_power
     total = 0j
     total_abs = 0.0
-    for k in range(_EM_DIRECT):
-        term = cmath.sqrt(complex(0.5 + k, -t)) ** power
+    for root in nodes.roots:
+        term = root ** power
         total += term
         total_abs += abs(term)
-    w = complex(0.5 + _EM_DIRECT, -t)
-    w_pow = cmath.sqrt(w) ** power
-    x = 1.0 / (w * w)
+    w, x = nodes.w, nodes.x
+    w_pow = nodes.w_root ** power
     x_abs = abs(x)
     poly = 0j
     poly_abs = 0.0
-    for coef in c.bernoulli:
+    for coef, coef_abs in c.bernoulli:
         poly = poly * x + coef
-        poly_abs = poly_abs * x_abs + abs(coef)
+        poly_abs = poly_abs * x_abs + coef_abs
     # w^(1-sigma)/(sigma-1) + w^(-sigma)/2 + sum_j coef_j w^(-sigma-2j+1)
     total += w_pow * (w / (c.sigma - 1.0) + 0.5 + poly / w)
     w_abs = abs(w)
@@ -471,7 +502,12 @@ def eval_h_inversion(stat: StatKind, sigma, z: float) -> FunctionValue:
     if not dilog and sigma.twice not in _JONQUIERE:
         raise DomainError(f"sigma={sigma} has a closed form; use eval_h_closed_form")
     _require_z_in_domain(stat, z, math.inf)
-    value, bound = _fermi_dilog(z) if dilog else _fermi_jonquiere(sigma, z)
+    if dilog:
+        return _certified_inversion(sigma, z, *_fermi_dilog(z))
+    return _certified_inversion(sigma, z, *_fermi_jonquiere(sigma, _jonquiere_nodes(z)))
+
+
+def _certified_inversion(sigma: Order, z: float, value: float, bound: float) -> FunctionValue:
     if bound > max(ABS_CONTRACT, REL_CONTRACT * abs(value)):
         raise AccuracyError(
             f"inversion h_{sigma}({z}): achieved bound {bound:.3e} misses the "
@@ -500,28 +536,50 @@ def bose_limit_at_unity(sigma) -> FunctionValue:
 # dispatcher
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=65536)
-def _eval_h_cached(stat: StatKind, twice_sigma: int, z: float, tail_bound: float) -> FunctionValue:
-    sigma = Order(twice_sigma)
-    if stat is StatKind.BOSE and z == 1.0:
-        if sigma.value > 1.0:
-            return bose_limit_at_unity(sigma)
-        raise DomainError(
-            f"Bose h_{sigma}(1) diverges; z = 1 is admissible only for sigma > 1"
-        )
-    if stat is StatKind.BOSE and z >= 1.0:
-        raise DomainError(f"Bose fugacity z={z} >= 1 has no meaning (condensation)")
+def h_orders(
+    stat: StatKind,
+    z: float,
+    orders,
+    z_max: float = FERMI_Z_MAX,
+    tail_bounds=None,
+) -> tuple[FunctionValue, ...]:
+    """Evaluate h_sigma(z) at every order of ``orders``, at one z.
 
-    if sigma in (ONE, ZERO, MINUS_ONE):
-        return eval_h_closed_form(stat, sigma, z)
-
-    if stat is StatKind.BOSE:
-        return eval_h_series(stat, sigma, z, tail_bound=tail_bound)
-
-    # Fermi, non-closed-form order
-    if z <= METHOD_SWITCH_Z:
-        return eval_h_series(stat, sigma, z, tail_bound=tail_bound)
-    return eval_h_inversion(stat, sigma, z)
+    ``orders`` is a sequence of :class:`Order` values, in any order and
+    with repeats allowed; the result holds one :class:`FunctionValue` per
+    entry, each equal to what :func:`eval_h` returns for that order.  z is
+    checked once.  The closed forms are computed inline, and the Fermi
+    half-integer orders above ``METHOD_SWITCH_Z`` share the roots of
+    Jonquiere's formula.  ``tail_bounds`` is None (the default 1e-12 series
+    tail for every order) or one series tail target per order; see
+    :func:`eval_h`.  The first order that cannot be evaluated raises its
+    DomainError or AccuracyError.
+    """
+    _require_z_in_domain(stat, z, z_max)
+    z = float(z)
+    bose = stat is StatKind.BOSE
+    nodes = None
+    out = []
+    for i, sigma in enumerate(orders):
+        twice = sigma.twice
+        if bose and z == 1.0:
+            if twice <= 2:
+                raise DomainError(
+                    f"Bose h_{sigma}(1) diverges; z = 1 is admissible only for sigma > 1"
+                )
+            out.append(bose_limit_at_unity(sigma))
+        elif twice in (2, 0, -2):
+            out.append(_closed_form(bose, twice, z))
+        elif bose or z <= METHOD_SWITCH_Z:
+            tail = 1e-12 if tail_bounds is None else float(tail_bounds[i])
+            out.append(eval_h_series(stat, sigma, z, tail_bound=tail))
+        elif twice == 4:
+            out.append(_certified_inversion(sigma, z, *_fermi_dilog(z)))
+        else:
+            if nodes is None:
+                nodes = _jonquiere_nodes(z)
+            out.append(_certified_inversion(sigma, z, *_fermi_jonquiere(sigma, nodes)))
+    return tuple(out)
 
 
 def eval_h(
@@ -532,6 +590,11 @@ def eval_h(
     tail_bound: float | None = None,
 ) -> FunctionValue:
     """Evaluate h_sigma(z) by the best available method.
+
+    The one-order form of :func:`h_orders`, for callers that hold the order
+    as a number or a string's value; callers that need several orders at
+    one z call :func:`h_orders` with :class:`Order` constants instead.
+    Nothing is cached: every call recomputes its value.
 
     Parameters
     ----------
@@ -568,6 +631,5 @@ def eval_h(
         actually attained.
     """
     sigma = Order.of(sigma)
-    _require_z_in_domain(stat, z, z_max)
-    tail = 1e-12 if tail_bound is None else float(tail_bound)
-    return _eval_h_cached(stat, sigma.twice, float(z), tail)
+    tails = None if tail_bound is None else (tail_bound,)
+    return h_orders(stat, z, (sigma,), z_max, tails)[0]

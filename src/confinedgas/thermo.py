@@ -25,7 +25,8 @@ from .errors import SingularityError
 from .eos import (
     GasState,
     ValidityReport,
-    pressure,
+    _h_table,
+    _pressure,
     solve_fugacity,
 )
 from .geometry import PlanarDomain, TubeDomain
@@ -40,7 +41,6 @@ from .statfun import (
     FIVE_HALVES,
     ZERO,
     StatKind,
-    eval_h,
 )
 
 __all__ = [
@@ -104,8 +104,12 @@ class ThermoReport:
     validity: ValidityReport
 
 
-def _hmap(stat: StatKind, z: float, orders, z_max: float = FERMI_Z_MAX):
-    return {o: eval_h(stat, o, z, z_max=z_max).value for o in orders}
+#: The orders each closed form reads, and the union that one row evaluates
+#: at z* (it also holds the ln Xi orders of the pressure).
+_AUX_2D = (MINUS_ONE, MINUS_HALF, ZERO, HALF, ONE)
+_ROW_2D = (MINUS_ONE, MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, TWO)
+_AUX_3D = (MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, FIVE_HALVES)
+_ROW_3D = (MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, TWO, FIVE_HALVES)
 
 
 def _guard(name: str, value: float) -> float:
@@ -125,7 +129,10 @@ def _cbrt(x: float) -> float:
 def aux_2d(stat: StatKind, z: float, N: float, dom: PlanarDomain,
            z_max: float = FERMI_Z_MAX) -> Aux2D:
     """Closed forms for sigma2 and eta2 at (z, N, geometry)."""
-    h = _hmap(stat, z, (MINUS_ONE, MINUS_HALF, ZERO, HALF, ONE), z_max)
+    return _aux_2d(_h_table(stat, z, _AUX_2D, z_max), N, dom)
+
+
+def _aux_2d(h, N: float, dom: PlanarDomain) -> Aux2D:
     L, O, r = dom.perimeter, dom.area, dom.holes
     hole_term = (1.0 - r) / (6.0 * N) * h[ZERO]
 
@@ -154,10 +161,8 @@ def aux_2d(stat: StatKind, z: float, N: float, dom: PlanarDomain,
     return Aux2D(sigma2=sigma2, eta2=eta2)
 
 
-def _thermo_2d_from_state(stat, dom, state: GasState, aux: Aux2D,
-                          z_max: float = FERMI_Z_MAX):
+def _thermo_2d_from_state(dom, state: GasState, aux: Aux2D, h):
     z, N, T = state.z, state.N, state.T
-    h = _hmap(stat, z, (ZERO, HALF, ONE, THREE_HALVES, TWO), z_max)
     L, O, r = dom.perimeter, dom.area, dom.holes
     sqn = math.sqrt(N)
     shape = L / math.sqrt(O)
@@ -191,9 +196,10 @@ def thermo_2d(stat: StatKind, dom: PlanarDomain, N: float, T: float,
               **solver_kwargs) -> ThermoReport:
     """Solve the state point and fill every 2-D closed form."""
     state, validity = solve_fugacity(stat, dom, N, T, tol, z_max=z_max, **solver_kwargs)
-    aux = aux_2d(stat, state.z, N, dom, z_max)
-    U, F, S, C_V = _thermo_2d_from_state(stat, dom, state, aux, z_max)
-    P = pressure(stat, dom, state)
+    h = _h_table(stat, state.z, _ROW_2D, z_max)
+    aux = _aux_2d(h, N, dom)
+    U, F, S, C_V = _thermo_2d_from_state(dom, state, aux, h)
+    P = _pressure(dom, state, h)
     return ThermoReport(U=U, F=F, S=S, C_V=C_V, P=P, state=state, aux=aux,
                         validity=validity)
 
@@ -201,9 +207,8 @@ def thermo_2d(stat: StatKind, dom: PlanarDomain, N: float, T: float,
 def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D,
              z_max: float = FERMI_Z_MAX) -> float:
     """dz/dT at fixed N: -(z/T) * h_1/h_0 * eta2 (always negative)."""
-    h1 = eval_h(stat, ONE, state.z, z_max=z_max).value
-    h0 = eval_h(stat, ZERO, state.z, z_max=z_max).value
-    return -(state.z / state.T) * (h1 / h0) * aux.eta2
+    h = _h_table(stat, state.z, (ONE, ZERO), z_max)
+    return -(state.z / state.T) * (h[ONE] / h[ZERO]) * aux.eta2
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +219,10 @@ def aux_3d(stat: StatKind, z: float, N: float, tube: TubeDomain,
            z_max: float = FERMI_Z_MAX) -> Aux3D:
     """Closed forms for sigma3, eta3 and xi1..xi5, evaluated in dependency
     order xi5 -> xi4 -> xi3 -> xi2 -> xi1 -> sigma3 -> eta3."""
-    h = _hmap(stat, z, (MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, FIVE_HALVES), z_max)
+    return _aux_3d(_h_table(stat, z, _AUX_3D, z_max), N, tube)
+
+
+def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:
     dom = tube.cross_section
     L, O, r = dom.perimeter, dom.area, dom.holes
     lz = tube.length_z
@@ -260,6 +268,13 @@ def aux_3d(stat: StatKind, z: float, N: float, tube: TubeDomain,
         + (lz**2 / O) * one_r**3 / (2916.0 * N**2) * (h[HALF] ** 3 / h[FIVE_HALVES])
     )
     sigma3 = 1.0 / _guard("sigma3 bracket", sigma3_bracket) / _guard("xi1", xi1) ** 3
+    if sigma3 < 0.0:
+        # sigma3 = Lz*area*h_3/2/(N*lam^3) > 0 on any state the closed forms
+        # resolve; U, F and S take its 2/3 power.
+        raise SingularityError(
+            f"sigma3 = {sigma3:.3e} is negative; the closed form does not apply "
+            "this far outside the validity region"
+        )
 
     cbrt_s3 = _cbrt(sigma3)
     eta_num = (
@@ -281,10 +296,8 @@ def aux_3d(stat: StatKind, z: float, N: float, tube: TubeDomain,
     return Aux3D(sigma3=sigma3, eta3=eta3, xi1=xi1, xi2=xi2, xi3=xi3, xi4=xi4, xi5=xi5)
 
 
-def _thermo_3d_from_state(stat, tube: TubeDomain, state: GasState, aux: Aux3D,
-                          z_max: float = FERMI_Z_MAX):
+def _thermo_3d_from_state(tube: TubeDomain, state: GasState, aux: Aux3D, h):
     z, N, T = state.z, state.N, state.T
-    h = _hmap(stat, z, (HALF, ONE, THREE_HALVES, TWO, FIVE_HALVES), z_max)
     dom = tube.cross_section
     L, O = dom.perimeter, dom.area
     one_r = 1.0 - dom.holes
@@ -334,9 +347,10 @@ def thermo_3d(stat: StatKind, tube: TubeDomain, N: float, T: float,
               **solver_kwargs) -> ThermoReport:
     """Solve the tube state point and fill every 3-D closed form."""
     state, validity = solve_fugacity(stat, tube, N, T, tol, z_max=z_max, **solver_kwargs)
-    aux = aux_3d(stat, state.z, N, tube, z_max)
-    U, F, S, C_V = _thermo_3d_from_state(stat, tube, state, aux, z_max)
-    P = pressure(stat, tube, state)
+    h = _h_table(stat, state.z, _ROW_3D, z_max)
+    aux = _aux_3d(h, N, tube)
+    U, F, S, C_V = _thermo_3d_from_state(tube, state, aux, h)
+    P = _pressure(tube, state, h)
     return ThermoReport(U=U, F=F, S=S, C_V=C_V, P=P, state=state, aux=aux,
                         validity=validity)
 
@@ -344,6 +358,5 @@ def thermo_3d(stat: StatKind, tube: TubeDomain, N: float, T: float,
 def dz_dT_3d(stat: StatKind, state: GasState, aux: Aux3D,
              z_max: float = FERMI_Z_MAX) -> float:
     """dz/dT at fixed N: -(3/2)(z/T) * h_3/2/h_1/2 * eta3 (always negative)."""
-    h32 = eval_h(stat, THREE_HALVES, state.z, z_max=z_max).value
-    h12 = eval_h(stat, HALF, state.z, z_max=z_max).value
-    return -1.5 * (state.z / state.T) * (h32 / h12) * aux.eta3
+    h = _h_table(stat, state.z, (THREE_HALVES, HALF), z_max)
+    return -1.5 * (state.z / state.T) * (h[THREE_HALVES] / h[HALF]) * aux.eta3

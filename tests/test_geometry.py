@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confinedgas.errors import DomainError, GeometryError, ModelError
+from confinedgas.eos import particle_number
+from confinedgas.errors import ConfinedGasError, DomainError, GeometryError, ModelError
 from confinedgas.geometry import (
     Annulus,
     AspectRatioWarning,
@@ -21,8 +24,43 @@ from confinedgas.geometry import (
     thermal_wavelength,
     weyl_state_sum,
 )
+from confinedgas.statfun import StatKind
 
 UNIT_SQUARE_RING = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+
+@st.composite
+def star_ring(draw, cx, cy, r_lo, r_hi, n_lo, n_hi):
+    """A simple ring: vertices at increasing angles around (cx, cy), each
+    angle jittered by at most a fifth of the spacing."""
+    n = draw(st.integers(n_lo, n_hi))
+    step = 2.0 * math.pi / n
+    ring = []
+    for k in range(n):
+        angle = (k + draw(st.floats(-0.2, 0.2))) * step
+        radius = draw(st.floats(r_lo, r_hi))
+        ring.append((cx + radius * math.cos(angle), cy + radius * math.sin(angle)))
+    return tuple(ring)
+
+
+@st.composite
+def polygon_with_holes(draw):
+    """An outer ring with radii in [2, 3] around the origin and up to two
+    holes of radius at most 0.3, centred 0.8 from the origin on opposite
+    sides, so that each hole lies well inside the outer ring."""
+    outer = draw(star_ring(0.0, 0.0, 2.0, 3.0, 5, 12))
+    holes = []
+    base = draw(st.floats(0.0, 2.0 * math.pi))
+    for k in range(draw(st.integers(0, 2))):
+        angle = base + k * math.pi
+        holes.append(draw(star_ring(0.8 * math.cos(angle), 0.8 * math.sin(angle),
+                                    0.1, 0.3, 3, 7)))
+    return PolygonWithHoles(outer=outer, holes=tuple(holes))
+
+
+def _reordered(ring, start, reverse):
+    ring = ring[start % len(ring):] + ring[:start % len(ring)]
+    return ring[::-1] if reverse else ring
 
 
 class TestMakeDomain:
@@ -202,3 +240,37 @@ class TestShapeParsing:
             polygon_spec_from_text("")
         with pytest.raises(GeometryError):
             polygon_spec_from_text("1 2 3\n")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    poly=polygon_with_holes(),
+    starts=st.lists(st.integers(0, 11), min_size=3, max_size=3),
+    reverse=st.lists(st.booleans(), min_size=3, max_size=3),
+    stat=st.sampled_from((StatKind.BOSE, StatKind.FERMI)),
+    log10_ratio=st.floats(-2.0, -0.5),
+    log10_z=st.floats(-3.0, 2.0),
+)
+def test_polygon_descriptors_ignore_ring_order(poly, starts, reverse, stat, log10_ratio, log10_z):
+    """Starting each ring at another vertex and reversing any of the outer
+    ring and the hole rings changes neither the Weyl descriptors (to 1e-12
+    relative) nor the particle number built from them."""
+    moved = PolygonWithHoles(
+        outer=_reordered(poly.outer, starts[0], reverse[0]),
+        holes=tuple(_reordered(h, s, r)
+                    for h, s, r in zip(poly.holes, starts[1:], reverse[1:])),
+    )
+    dom, other = make_domain(poly), make_domain(moved)
+    assert other.holes == dom.holes == len(poly.holes)
+    assert other.area == pytest.approx(dom.area, rel=1e-12, abs=0.0)
+    assert other.perimeter == pytest.approx(dom.perimeter, rel=1e-12, abs=0.0)
+
+    lam = 10.0**log10_ratio * math.sqrt(dom.area)
+    z = min(10.0**log10_z, 1.0 - 1e-3) if stat is StatKind.BOSE else 10.0**log10_z
+    try:
+        want = particle_number(stat, dom, lam, z)
+    except ConfinedGasError:
+        with pytest.raises(ConfinedGasError):
+            particle_number(stat, other, lam, z)
+        return
+    assert particle_number(stat, other, lam, z) == pytest.approx(want, rel=1e-12, abs=0.0)

@@ -29,6 +29,7 @@ from confinedgas.statfun import (
     eval_h_closed_form,
     eval_h_inversion,
     eval_h_series,
+    h_orders,
 )
 from conftest import de_quad_h, de_quad_h_lowered
 
@@ -233,6 +234,102 @@ class TestDispatcherDomain:
         for z in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError):
                 eval_h(BOSE, 2, z)
+
+
+def _route(stat, sigma, z, tail=1e-12):
+    """h_sigma(z) from the single-route function that owns (stat, sigma, z)."""
+    if stat is BOSE and z == 1.0:
+        return bose_limit_at_unity(sigma)
+    if sigma in (ONE, ZERO, MINUS_ONE):
+        return eval_h_closed_form(stat, sigma, z)
+    if stat is BOSE or z <= statfun.METHOD_SWITCH_Z:
+        return eval_h_series(stat, sigma, z, tail_bound=tail)
+    return eval_h_inversion(stat, sigma, z)
+
+
+def _bits(fv):
+    return (fv.value.hex(), fv.abs_error_bound.hex(), fv.method, fv.terms)
+
+
+def _expected(stat, z, orders, tails):
+    """The route values for every order, or the first route's error."""
+    out = []
+    for sigma, tail in zip(orders, tails):
+        try:
+            out.append(_bits(_route(stat, sigma, z, tail)))
+        except (AccuracyError, DomainError) as exc:
+            return type(exc), getattr(exc, "achieved", None)
+    return tuple(out)
+
+
+def _batched(stat, z, orders, tails=None):
+    try:
+        return tuple(_bits(fv) for fv in h_orders(stat, z, orders, tail_bounds=tails))
+    except (AccuracyError, DomainError) as exc:
+        return type(exc), getattr(exc, "achieved", None)
+
+
+MIXED_ORDERS = (
+    (FIVE_HALVES, HALF, TWO, HALF, ONE, MINUS_HALF, THREE_HALVES),
+    tuple(reversed(ALL_ORDERS)),
+    (THREE_HALVES, THREE_HALVES, ZERO, ZERO),
+    (TWO,),
+    (),
+)
+
+
+class TestBatchedOrders:
+    """h_orders returns what the single-route functions return, bit for bit."""
+
+    FERMI_Z = tuple(np.logspace(-8.0, 8.0, 41)) + (
+        0.98, 0.99, math.nextafter(0.99, 1.0), 0.995, 1.0, 1.01, 10.004453755819583)
+    BOSE_Z = tuple(np.logspace(-8.0, math.log10(0.999), 25)) + (
+        0.98, 0.99, 0.995, 1.0 - 1e-5, 1.0 - 1e-8, 1.0)
+
+    @pytest.mark.parametrize("stat", (BOSE, FERMI))
+    def test_all_and_mixed_orders_match_routes(self, stat):
+        grid = self.BOSE_Z if stat is BOSE else self.FERMI_Z
+        for z in map(float, grid):
+            for orders in (ALL_ORDERS,) + MIXED_ORDERS:
+                want = _expected(stat, z, orders, [1e-12] * len(orders))
+                assert _batched(stat, z, orders) == want, (stat, z, orders)
+
+    def test_dense_grid_closed_forms_and_inversion(self):
+        """Dense grids for the routes without series: a rounding change in a
+        closed form or in the shared Jonquiere roots shows up in a few z
+        per thousand."""
+        closed = (ONE, ZERO, MINUS_ONE)
+        inverted = (MINUS_HALF, HALF, THREE_HALVES, TWO, FIVE_HALVES)
+        for z in map(float, np.logspace(-8.0, 8.0, 4001)):
+            orders = closed + inverted if z > statfun.METHOD_SWITCH_Z else closed
+            want = _expected(FERMI, z, orders, [1e-12] * len(orders))
+            assert _batched(FERMI, z, orders) == want, z
+        for z in map(float, 1.0 - np.logspace(-8.0, -0.01, 4001)):
+            assert _batched(BOSE, z, closed) == _expected(BOSE, z, closed, [1e-12] * 3), z
+
+    def test_bose_unity(self):
+        high = (THREE_HALVES, TWO, FIVE_HALVES)
+        assert _batched(BOSE, 1.0, high) == tuple(_bits(bose_limit_at_unity(s)) for s in high)
+        for sigma in (ONE, HALF, ZERO, MINUS_HALF, MINUS_ONE):
+            assert _batched(BOSE, 1.0, (TWO, sigma)) == (DomainError, None)
+
+    def test_accuracy_error_carries_the_route_bound(self):
+        z = 1.0 - 1e-8
+        got = _batched(BOSE, z, ALL_ORDERS)
+        assert got[0] is AccuracyError
+        assert got == _expected(BOSE, z, ALL_ORDERS, [1e-12] * 8)
+
+    def test_per_order_tail_bounds(self):
+        orders = (HALF, ONE, THREE_HALVES, MINUS_HALF)
+        tails = (1e-6, 1e-15, 3e-9, 1e-13)
+        for stat, z in ((BOSE, 0.999), (BOSE, 0.3), (FERMI, 0.9), (FERMI, 4.0)):
+            assert _batched(stat, z, orders, tails) == _expected(stat, z, orders, tails)
+
+    def test_domain_checked_once_for_all_orders(self):
+        for stat, z in ((BOSE, 1.5), (FERMI, 2e8), (FERMI, 0.0), (BOSE, math.nan)):
+            with pytest.raises(DomainError):
+                h_orders(stat, z, ())
+        assert h_orders(FERMI, 2e8, (HALF,), z_max=1e9) == (eval_h_inversion(FERMI, HALF, 2e8),)
 
 
 class TestInvariants:

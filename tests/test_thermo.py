@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from confinedgas.errors import SingularityError
+from confinedgas.errors import ConfinedGasError, SingularityError
 from confinedgas.eos import solve_fugacity
 from confinedgas.geometry import (
     Annulus,
@@ -201,6 +203,19 @@ class TestAux3D:
         assert abs(aux.sigma3 - ident) / ident < 1e-8
 
 
+    def test_negative_sigma3_refused(self):
+        """A Bose disk tube with lam = sqrt(area) resolves sigma3 to -5.98;
+        its 2/3 power made U, F and S complex instead of refusing."""
+        dom = make_domain(Disk(1.0))
+        lam = math.sqrt(dom.area)
+        tube = TubeDomain(dom, 150.0 * lam)
+        state, _ = solve_fugacity(BOSE, tube, 10.0**-0.5 * tube.length_z / lam, 2.0 * math.pi / lam**2)
+        with pytest.raises(SingularityError):
+            aux_3d(BOSE, state.z, state.N, tube)
+        with pytest.raises(SingularityError):
+            thermo_3d(BOSE, tube, state.N, state.T)
+
+
 class TestThermo3D:
     def test_classical_free_limit(self):
         tube = TubeDomain(free_plane(1.0), 1000.0)
@@ -282,3 +297,35 @@ class TestCorrectionVanishing:
                                                     rel=1e-12)
             cv = 2.0 * h(stat, TWO, z) / h(stat, ONE, z) - h(stat, ONE, z) / h(stat, ZERO, z)
             assert rep.C_V / N == pytest.approx(cv, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    stat=st.sampled_from((BOSE, FERMI)),
+    shape=st.sampled_from((Disk(1.0), Rectangle(2.0, 0.5), Annulus(0.5, 1.5))),
+    tube=st.booleans(),
+    aspect=st.floats(150.0, 400.0),
+    log10_ratio=st.floats(-2.5, 0.0),
+    log10_fill=st.floats(-8.0, 1.5),
+)
+def test_entropy_identity_holds_or_refuses(stat, shape, tube, aspect, log10_ratio, log10_fill):
+    """Planar domains and tubes of length aspect*sqrt(area), lam/sqrt(area)
+    log-uniform on [0.003, 1] and N = fill * (bulk state count) with fill
+    log-uniform on [1e-8, 30]: thermo_2d/thermo_3d return a finite report
+    with S = (U - F)/T to 1e-12, or refuse with a ConfinedGasError.  U, F, S
+    and P all read one table of h values at z*."""
+    dom = make_domain(shape)
+    lam = 10.0**log10_ratio * math.sqrt(dom.area)
+    T = 2.0 * math.pi / lam**2
+    N = 10.0**log10_fill * dom.area / lam**2
+    try:
+        if tube:
+            container = TubeDomain(dom, aspect * math.sqrt(dom.area))
+            rep = thermo_3d(stat, container, N * container.length_z / lam, T)
+        else:
+            rep = thermo_2d(stat, dom, N, T)
+    except ConfinedGasError:
+        return
+    for value in (rep.state.z, rep.U, rep.F, rep.S, rep.C_V, rep.P):
+        assert math.isfinite(value)
+    assert abs(rep.S - (rep.U - rep.F) / rep.state.T) <= 1e-12 * abs(rep.S)
