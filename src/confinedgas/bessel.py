@@ -1,42 +1,65 @@
 """Zeros of cylinder functions for the spectral oracle.
 
 J_nu and Y_nu come from ``scipy.special`` (Amos, ACM TOMS 12 (1986) 265,
-Alg. 644), which implements none of the formulas the oracle checks.  Each
-finder samples one order on a grid in one vectorised call, polishes all
-sign changes at once by Newton steps safeguarded by bisection, using
-C_nu' = C_(nu-1) - (nu/x) C_nu, and certifies each root.
+Alg. 644), which implements none of the formulas the oracle checks.  One
+pass serves every order of a shape: the orders' sampling grids are joined
+and evaluated in one vectorised call, the sign changes within each order
+are polished together by Newton steps safeguarded by bisection, using
+C_nu' = C_(nu-1) - (nu/x) C_nu, and every root is certified.  The
+one-order finders are the same pass over a single order.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 from scipy.special import jv, yv
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["j_zeros_up_to", "cross_product_zeros_up_to"]
+__all__ = ["j_zeros", "j_zeros_up_to", "cross_product_zeros", "cross_product_zeros_up_to"]
 
 
-def _roots(func, start: float, stop: float, step: float) -> np.ndarray:
-    """Ascending roots of ``func`` at its sign changes on the grid start,
-    start + step, ..., stop, each polished until its step is below 1e-15
-    relative.  ``func(x, slope=True)`` returns the value and derivative."""
-    grid = np.append(start + step * np.arange(math.ceil((stop - start) / step)), stop)
-    values = func(grid)
-    if not np.all(np.isfinite(values)):
+def _roots(func, nu: np.ndarray, start: np.ndarray, stop: float,
+           step: float) -> list[np.ndarray]:
+    """Ascending roots of ``func(nu_i, .)`` at its sign changes on the grid
+    start_i, start_i + step, ..., stop, for each order nu_i up to the first
+    one without a root (a scan that starts at or past ``stop`` has none);
+    each is polished until its step is below 1e-15 relative.
+    ``func(nu, x, slope=True)`` returns the value and derivative,
+    elementwise in ``nu`` and ``x``."""
+    below = start < stop
+    if not below.all():
+        nu, start = nu[:below.argmin()], start[:below.argmin()]
+    size = np.ceil((stop - start) / step).astype(np.int64) + 1
+    owner = np.repeat(np.arange(nu.size), size)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+    grid = np.where(local < size[owner] - 1, start[owner] + step * local, stop)
+    values = func(nu[owner], grid)
+    pair = np.flatnonzero((owner[:-1] == owner[1:])
+                          & (np.sign(values[:-1]) * np.sign(values[1:]) < 0.0))
+    on_grid = values == 0.0
+    # Stop at the first order without a root, as an order-by-order scan
+    # would; an order with a non-finite sample stops it too, and raises.
+    found = (np.bincount(owner[pair], minlength=nu.size)
+             + np.bincount(owner[on_grid], minlength=nu.size))
+    bad = np.bincount(owner[~np.isfinite(values)], minlength=nu.size) > 0
+    stops = np.flatnonzero((found == 0) | bad)
+    n = int(stops[0]) if stops.size else nu.size
+    if n < nu.size and bad[n]:
         raise ConvergenceError("non-finite cylinder function on the sampling grid")
-    idx = np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0.0)
-    lo, hi, f_lo = grid[idx], grid[idx + 1], values[idx]
-    x, last = lo - f_lo * (hi - lo) / (values[idx + 1] - f_lo), hi - lo
+    if n == 0:
+        return []
+    pair = pair[owner[pair] < n]
+    lo, hi, f_lo, nu_x = grid[pair], grid[pair + 1], values[pair], nu[owner[pair]]
+    x, last = lo - f_lo * (hi - lo) / (values[pair + 1] - f_lo), hi - lo
     roots = np.empty_like(x)
     todo = np.arange(x.size)
     for _ in range(80):
         if todo.size == 0:
             break
-        f, df = func(x, slope=True)
+        f, df = func(nu_x, x, slope=True)
         same = (f < 0.0) == (f_lo < 0.0)
         lo, f_lo, hi = np.where(same, x, lo), np.where(same, f, f_lo), np.where(same, hi, x)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -48,35 +71,53 @@ def _roots(func, start: float, stop: float, step: float) -> np.ndarray:
         last = np.abs(x_new - x)
         done = (f == 0.0) | (last <= 1e-15 * np.abs(x_new))
         roots[todo[done]] = np.where(f == 0.0, x, x_new)[done]
-        todo, x, last, lo, hi, f_lo = (a[~done] for a in (todo, x_new, last, lo, hi, f_lo))
+        todo, x, last, lo, hi, f_lo, nu_x = (
+            a[~done] for a in (todo, x_new, last, lo, hi, f_lo, nu_x))
     if todo.size:
         raise ConvergenceError(f"zero refinement stalled in [{lo[0]}, {hi[0]}]")
-    return np.sort(np.concatenate([grid[values == 0.0], roots]))
+    on_grid &= owner < n
+    everything = np.concatenate([grid[on_grid], roots])
+    ranked = np.lexsort((everything, np.concatenate([owner[on_grid], owner[pair]])))
+    return np.split(everything[ranked], np.cumsum(found[:n])[:-1])
 
 
-def _j(nu: int, x, slope: bool = False):
+def _flatten(table: list[np.ndarray], nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every root of a table with its order."""
+    if not table:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    return np.concatenate(table), np.repeat(nu[:len(table)], [t.size for t in table])
+
+
+def _j(nu, x, slope: bool = False):
     f = jv(nu, x)
     return (f, jv(nu - 1, x) - (nu / x) * f) if slope else f
 
 
-def j_zeros_up_to(nu: int, xmax: float) -> list[float]:
-    """All zeros of J_nu in (0, xmax], ascending.
+def j_zeros(orders, xmax: float) -> list[np.ndarray]:
+    """The zeros of J_nu in (0, xmax], ascending, for nu = orders[0],
+    orders[1], ... up to the first order that has none.
 
-    J_nu is positive on (0, j_nu,1) and j_nu,1 > nu, so the scan starts at
+    J_nu is positive on (0, j_nu,1) and j_nu,1 > nu, so each scan starts at
     nu and sign changes are bracketed with a pi/4 step (asymptotic zero
     spacing is pi, decreasing from above).
     """
-    if xmax <= nu:
-        return []
-    zeros = _roots(partial(_j, nu), max(nu, 1e-6), xmax, math.pi / 4.0)
+    nu = np.asarray(orders)
+    table = _roots(_j, nu, np.maximum(nu, 1e-6), xmax, math.pi / 4.0)
+    zeros, nu = _flatten(table, nu)
     residual = np.abs(jv(nu, zeros))
     if np.any(residual > 1e-12):
         i = int(np.argmax(residual))
-        raise ConvergenceError(f"zero of J_{nu} at {zeros[i]} has residual {residual[i]:.3e}")
-    return zeros.tolist()
+        raise ConvergenceError(f"zero of J_{nu[i]} at {zeros[i]} has residual {residual[i]:.3e}")
+    return table
 
 
-def _scaled_cross(nu: int, k, ri: float, ro: float, slope: bool = False):
+def j_zeros_up_to(nu: int, xmax: float) -> list[float]:
+    """All zeros of J_nu in (0, xmax], ascending (``j_zeros`` for one order)."""
+    table = j_zeros([nu], xmax)
+    return table[0].tolist() if table else []
+
+
+def _scaled_cross(nu, k, ri: float, ro: float, slope: bool = False):
     """G = (J_nu(k Ri) Y_nu(k Ro) - J_nu(k Ro) Y_nu(k Ri)) / |H_nu(k Ri)|.
 
     The divisor never vanishes, so G has the zeros and signs of the
@@ -97,28 +138,40 @@ def _scaled_cross(nu: int, k, ri: float, ro: float, slope: bool = False):
     return g, ro * (c * dy_out - s * dj_out) - dtheta * (s * y_out + c * j_out)
 
 
-def cross_product_zeros_up_to(nu: int, r_inner: float, r_outer: float,
-                              kmax: float) -> list[float]:
-    """All k in (0, kmax] where the cross-product vanishes, ascending.
+def cross_product_zeros(orders, r_inner: float, r_outer: float,
+                        kmax: float) -> list[np.ndarray]:
+    """The k in (0, kmax] where the cross-product vanishes, ascending, for
+    nu = orders[0], orders[1], ... up to the first order that has none.
 
-    Radial oscillation needs k > nu/r somewhere in the annulus, so the scan
+    Radial oscillation needs k > nu/r somewhere in the annulus, so each scan
     starts just below nu/r_outer; the asymptotic zero spacing is
     pi/(r_outer - r_inner) and the grid oversamples it 8x.
     """
     if not (0.0 < r_inner < r_outer):
         raise DomainError("need 0 < r_inner < r_outer")
-    k_start = max(nu / r_outer, 1e-3) * 0.95
-    if k_start >= kmax:
-        return []
-    cross = partial(_scaled_cross, nu, ri=r_inner, ro=r_outer)
-    zeros = _roots(cross, k_start, kmax, math.pi / (8.0 * (r_outer - r_inner)))
+    nu = np.asarray(orders)
+
+    def cross(nu, k, slope=False):
+        return _scaled_cross(nu, k, r_inner, r_outer, slope)
+
+    table = _roots(cross, nu, np.maximum(nu / r_outer, 1e-3) * 0.95, kmax,
+                   math.pi / (8.0 * (r_outer - r_inner)))
     # Certify each root through its implied k-error |G|/|G'|; the raw
     # residual is meaningless when high orders make the slope steep.
-    residual, slope = cross(zeros, slope=True)
+    zeros, nu = _flatten(table, nu)
+    residual, slope = cross(nu, zeros, slope=True)
     k_err = np.abs(residual) / np.maximum(np.abs(slope), 1e-300)
     bad = np.flatnonzero(k_err > 1e-11 * np.maximum(1.0, zeros))
     if bad.size:
         i = bad[0]
-        raise ConvergenceError(f"cross-product zero at k={zeros[i]} is only accurate to "
-                               f"dk={k_err[i]:.3e} (residual {residual[i]:.3e})")
-    return zeros.tolist()
+        raise ConvergenceError(f"cross-product zero of order {nu[i]} at k={zeros[i]} is only "
+                               f"accurate to dk={k_err[i]:.3e} (residual {residual[i]:.3e})")
+    return table
+
+
+def cross_product_zeros_up_to(nu: int, r_inner: float, r_outer: float,
+                              kmax: float) -> list[float]:
+    """All k in (0, kmax] where the cross-product vanishes, ascending
+    (``cross_product_zeros`` for one order)."""
+    table = cross_product_zeros([nu], r_inner, r_outer, kmax)
+    return table[0].tolist() if table else []

@@ -437,17 +437,19 @@ def solve_fugacity(
     return state, report
 
 
-def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasState) -> float:
+def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasState,
+             *, z_max: float = FERMI_Z_MAX) -> float:
     """Pressure from P * measure = T * ln Xi (k_B = 1).
 
     For a planar domain the measure is the area (spreading pressure); for a
     tube it is the volume length_z * area.  Each tube adds one dimension and
     one half-order step, so the measure is the bulk weight times
-    lam^(2 + shift).
+    lam^(2 + shift).  ``z_max`` is the Fermi fugacity cap the state was
+    solved under.
     """
     weights, shift, _ = _model(container, state.lam)
     orders = [o for w, o in zip(weights, _ORDERS[shift, 1]) if w != 0.0]
-    return _pressure(container, state, _h_table(stat, state.z, orders))
+    return _pressure(container, state, _h_table(stat, state.z, orders, z_max))
 
 
 def _pressure(container, state: GasState, h) -> float:

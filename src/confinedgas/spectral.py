@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .bessel import cross_product_zeros_up_to, j_zeros_up_to
+from .bessel import cross_product_zeros, j_zeros
 from .eos import bracketed_root
 from .errors import (
     DomainError,
@@ -146,9 +145,11 @@ def rectangle_spectrum(a: float, b: float, cutoff: float,
                        state_cap: int = STATE_CAP) -> Spectrum:
     """Exact rectangle spectrum below ``cutoff``.
 
-    Degenerate levels are merged by exact rational arithmetic on
-    n^2/a^2 + m^2/b^2 (every float is a rational, so the comparison is
-    exact for any float sides).
+    Degenerate levels are merged by exact integer keys.  Every float is a
+    ratio of integers, a = pa/qa and b = pb/qb, so
+    n^2/a^2 + m^2/b^2 = K/D with K = n^2 qa^2 pb^2 + m^2 qb^2 pa^2 and
+    D = pa^2 pb^2: equal levels have equal K for any float sides, and the
+    level is the correctly rounded K/D times pi^2/2.
     """
     if not (a > 0.0 and b > 0.0 and cutoff > 0.0):
         raise DomainError("rectangle_spectrum needs a, b, cutoff > 0")
@@ -160,23 +161,27 @@ def rectangle_spectrum(a: float, b: float, cutoff: float,
             f"rectangle spectrum below mu={cutoff} implies ~"
             f"{_weyl_count(Rectangle(a, b), cutoff):.3g} states (cap {state_cap})"
         )
-    inv_a2 = 1 / Fraction(a) ** 2
-    inv_b2 = 1 / Fraction(b) ** 2
-    kappa_frac = Fraction(kappa)
+    (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+    pk, qk = kappa.as_integer_ratio()
+    n_weight, m_weight = qa * qa * pb * pb, qb * qb * pa * pa
+    denom = pa * pa * pb * pb
+    # K/D <= pk/qk, i.e. K qk <= pk D, is K <= floor(pk D / qk) for integer K.
+    k_max = pk * denom // qk
 
-    levels: dict[Fraction, int] = {}
+    levels: dict[int, int] = {}
     for n in range(1, n_max + 1):
-        base = n * n * inv_a2
-        if base > kappa_frac:
+        base = n * n * n_weight
+        if base > k_max:
             break
-        rest = kappa_frac - base
-        m_hi = min(m_max, int(math.floor(math.sqrt(float(rest) * b * b))) + 2)
+        # kappa - n^2/a^2, rounded once as the float of its exact value.
+        rest = (pk * denom - qk * base) / (qk * denom)
+        m_hi = min(m_max, int(math.floor(math.sqrt(rest * b * b))) + 2)
         for m in range(1, m_hi + 1):
-            key = base + m * m * inv_b2
-            if key > kappa_frac:
+            key = base + m * m * m_weight
+            if key > k_max:
                 break
             levels[key] = levels.get(key, 0) + 1
-    entries = [((math.pi**2 / 2.0) * float(k), g) for k, g in levels.items()]
+    entries = [((math.pi**2 / 2.0) * (k / denom), g) for k, g in levels.items()]
     return _finalize(Rectangle(a, b), entries, cutoff)
 
 
@@ -187,15 +192,9 @@ def disk_spectrum(R: float, cutoff: float, state_cap: int = STATE_CAP) -> Spectr
     if _weyl_count(Disk(R), cutoff) > state_cap:
         raise ResourceError(f"disk spectrum below mu={cutoff} exceeds cap {state_cap}")
     jmax = R * math.sqrt(2.0 * cutoff)
-    entries: list[tuple[float, int]] = []
-    nu = 0
-    while nu < jmax:
-        zeros = j_zeros_up_to(nu, jmax)
-        if not zeros:
-            break
-        mult = 1 if nu == 0 else 2
-        entries.extend((z * z / (2.0 * R * R), mult) for z in zeros)
-        nu += 1
+    entries = [(z * z / (2.0 * R * R), 1 if nu == 0 else 2)
+               for nu, zeros in enumerate(j_zeros(range(math.ceil(jmax)), jmax))
+               for z in zeros.tolist()]
     return _finalize(Disk(R), entries, cutoff)
 
 
@@ -207,15 +206,12 @@ def annulus_spectrum(r_inner: float, r_outer: float, cutoff: float,
     if _weyl_count(Annulus(r_inner, r_outer), cutoff) > state_cap:
         raise ResourceError(f"annulus spectrum below mu={cutoff} exceeds cap {state_cap}")
     kmax = math.sqrt(2.0 * cutoff)
-    entries: list[tuple[float, int]] = []
-    nu = 0
-    while True:
-        zeros = cross_product_zeros_up_to(nu, r_inner, r_outer, kmax)
-        if not zeros:
-            break
-        mult = 1 if nu == 0 else 2
-        entries.extend((k * k / 2.0, mult) for k in zeros)
-        nu += 1
+    # Scans start at 0.95 nu/r_outer, so no order from kmax r_outer/0.95 on
+    # has a zero.
+    orders = range(int(kmax * r_outer / 0.95) + 2)
+    entries = [(k * k / 2.0, 1 if nu == 0 else 2)
+               for nu, zeros in enumerate(cross_product_zeros(orders, r_inner, r_outer, kmax))
+               for k in zeros.tolist()]
     return _finalize(Annulus(r_inner, r_outer), entries, cutoff)
 
 

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 from scipy.special import yv
 
-from confinedgas.bessel import _scaled_cross, cross_product_zeros_up_to, j_zeros_up_to
-from confinedgas.errors import DomainError
+from confinedgas.bessel import (
+    _roots,
+    _scaled_cross,
+    cross_product_zeros,
+    cross_product_zeros_up_to,
+    j_zeros,
+    j_zeros_up_to,
+)
+from confinedgas.errors import ConvergenceError, DomainError
 
 mp.mp.dps = 30
 
@@ -138,3 +145,71 @@ class TestCrossProductZeros:
         for ri, ro in ((0.0, 1.0), (2.0, 1.0), (1.0, 1.0), (-1.0, 2.0)):
             with pytest.raises(DomainError):
                 cross_product_zeros_up_to(0, ri, ro, 10.0)
+
+
+def one_order_at_a_time(finder, orders):
+    """The one-order finder run order by order up to the first empty order:
+    the tables and the index of that order."""
+    table = []
+    for nu in orders:
+        zeros = finder(nu)
+        if not zeros:
+            return table, nu
+        table.append(zeros)
+    return table, None
+
+
+def assert_same_table(batched, orders, finder):
+    """Each order of the batched table equals the one-order finder by
+    float.hex, with the same counts and the same first empty order."""
+    want, empty = one_order_at_a_time(finder, orders)
+    assert len(batched) == len(want)
+    assert empty == (orders[len(batched)] if len(batched) < len(orders) else None)
+    for nu, got, zeros in zip(orders, batched, want):
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in zeros], nu
+
+
+class TestBatchedTables:
+    @pytest.mark.parametrize("R, cutoff", [(1.0, 520.0), (1.5, 231.0)])
+    def test_disk_table_matches_one_order_finder(self, R, cutoff):
+        jmax = R * math.sqrt(2.0 * cutoff)
+        orders = range(math.ceil(jmax))
+        table = j_zeros(orders, jmax)
+        assert len(table) < len(orders)
+        assert_same_table(table, orders, lambda nu: j_zeros_up_to(nu, jmax))
+
+    @pytest.mark.parametrize("ri, ro, cutoff, orders", [
+        (1.0, 2.0, 355.0, range(60)),
+        (0.05, 1.0, 330.0**2 / 2.0, range(280, 301)),
+        (10.0, 10.2, 300.0, range(200)),
+    ])
+    def test_annulus_table_matches_one_order_finder(self, ri, ro, cutoff, orders):
+        kmax = math.sqrt(2.0 * cutoff)
+        table = cross_product_zeros(orders, ri, ro, kmax)
+        assert table
+        assert_same_table(table, orders,
+                          lambda nu: cross_product_zeros_up_to(nu, ri, ro, kmax))
+
+    def test_empty_and_out_of_range_orders(self):
+        assert j_zeros([], 10.0) == []
+        assert j_zeros([12, 0], 10.0) == []
+        assert cross_product_zeros([40, 0], 1.0, 2.0, 10.0) == []
+        assert [t.size for t in j_zeros([0, 1, 30, 2], 10.0)] == [3, 2]
+
+    def test_non_finite_samples_raise_only_before_the_first_empty_order(self):
+        """cos x - nu has zeros for nu = 0 and none for nu = 2; order 3 samples
+        NaN.  An order-by-order scan reaches order 3 only without order 2."""
+        def fake(nu, x, slope=False):
+            f = np.where(nu == 3, np.nan, np.cos(x) - nu)
+            return (f, -np.sin(x)) if slope else f
+
+        def scan(orders):
+            nu = np.array(orders)
+            return _roots(fake, nu, np.full(nu.size, 0.5), 10.0, 0.25)
+
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            scan([0, 3, 2])
+        table = scan([0, 2, 3])
+        assert len(table) == 1
+        np.testing.assert_allclose(table[0], [math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2],
+                                   rtol=1e-15)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -196,6 +197,17 @@ class TestOracle:
         assert result.exit_code == 0
         result = run("oracle", "--shape", "annulus:1,2", "--cutoff", "50")
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("shape, cutoff, digest", [
+        ("disk:1", "520", "582ed3bf4a888ec0317b2e17955325393733b02eb1af957ebdf9b0abaa11f53e"),
+        ("annulus:1,2", "300", "96f4690c85e1ea9d564bf76b80aa82ec1bcfa1e5c1982617c9d64a0d79ce3247"),
+        ("rect:1.3,0.7", "2000", "d7669ad60b4d6eb3cdc01040462e8bbc7bb4fd483bc366d9fadadfaf8f232836"),
+    ])
+    def test_pinned_spectrum_bytes(self, shape, cutoff, digest):
+        """The exported spectra are pinned byte for byte (SHA-256 of stdout)."""
+        result = run("oracle", "--shape", shape, "--cutoff", cutoff)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
     def test_polygon_has_no_exact_spectrum(self, tmp_path):
         poly = tmp_path / "p.txt"

@@ -38,6 +38,7 @@ from confinedgas.geometry import (
     weyl_state_sum,
 )
 from confinedgas.statfun import StatKind, eval_h
+from confinedgas.thermo import thermo_2d
 
 BOSE, FERMI = StatKind.BOSE, StatKind.FERMI
 EPS = sys.float_info.epsilon
@@ -304,6 +305,20 @@ class TestPressure:
         p = pressure(FERMI, tube, state)
         ln_xi = log_grand_potential(FERMI, tube, state.lam, state.z)
         assert p == pytest.approx(state.T * ln_xi / (400.0 * 2.0), rel=1e-12)
+
+    def test_pressure_honours_the_solve_cap(self):
+        """A Fermi state solved above the default cap 1e8 has a pressure
+        under that cap, equal to the thermo row's; the default still refuses."""
+        dom = make_domain(Disk(1.0))
+        T = 2.0 * math.pi / 0.01**2
+        N = 25.0 * dom.area / thermal_wavelength(T) ** 2
+        state, _ = solve_fugacity(FERMI, dom, N, T, z_max=1e12)
+        assert 1e10 < state.z < 1e12
+        p = pressure(FERMI, dom, state, z_max=1e12)
+        assert p == thermo_2d(FERMI, dom, N, T, z_max=1e12).P
+        assert p > N * T / dom.area
+        with pytest.raises(DomainError, match="configured cap"):
+            pressure(FERMI, dom, state)
 
 
 def particle_number_error(stat, container, lam, z):

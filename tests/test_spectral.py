@@ -1,6 +1,7 @@
 """Tests for the exact-spectrum oracle."""
 
 import math
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -147,6 +148,57 @@ def test_round_spectra_complete_at_half_cutoff(radius, ratio, states):
         below = full.mu <= cutoff / 2
         np.testing.assert_array_equal(half.multiplicity, full.multiplicity[below])
         np.testing.assert_allclose(half.mu, full.mu[below], rtol=1e-14)
+
+
+def fraction_rectangle_levels(a, b, cutoff):
+    """Reference rectangle enumeration keyed by exact Fractions (the
+    enumeration the library used before its integer keys), merged as the
+    library merges levels: (mu, multiplicity) lists."""
+    kappa = 2.0 * cutoff / math.pi**2
+    n_max = int(math.floor(a * math.sqrt(kappa))) + 1
+    m_max = int(math.floor(b * math.sqrt(kappa))) + 1
+    inv_a2, inv_b2, kappa_frac = 1 / Fraction(a) ** 2, 1 / Fraction(b) ** 2, Fraction(kappa)
+    levels = {}
+    for n in range(1, n_max + 1):
+        base = n * n * inv_a2
+        if base > kappa_frac:
+            break
+        rest = kappa_frac - base
+        m_hi = min(m_max, int(math.floor(math.sqrt(float(rest) * b * b))) + 2)
+        for m in range(1, m_hi + 1):
+            key = base + m * m * inv_b2
+            if key > kappa_frac:
+                break
+            levels[key] = levels.get(key, 0) + 1
+    entries = sorted(((math.pi**2 / 2.0) * float(k), g) for k, g in levels.items())
+    merged = []
+    for mu, g in entries:
+        if merged and mu <= merged[-1][0] * (1.0 + 1e-12):
+            merged[-1][1] += g
+        else:
+            merged.append([mu, g])
+    return [mu for mu, _ in merged], [g for _, g in merged]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    a=st.floats(0.1, 5.0),
+    b=st.floats(0.1, 5.0),
+    square=st.booleans(),
+    states=st.floats(1.0, 3000.0),
+)
+def test_rectangle_matches_fraction_reference(a, b, square, states):
+    """Integer-keyed rectangle levels equal the Fraction-keyed reference bit
+    for bit, and do not depend on the order of the sides."""
+    b = a if square else b
+    cutoff = 2.0 * math.pi * states / (a * b)
+    spec = rectangle_spectrum(a, b, cutoff)
+    mu, mult = fraction_rectangle_levels(a, b, cutoff)
+    assert [x.hex() for x in spec.mu.tolist()] == [x.hex() for x in mu]
+    assert spec.multiplicity.tolist() == mult
+    swapped = rectangle_spectrum(b, a, cutoff)
+    assert [x.hex() for x in swapped.mu.tolist()] == [x.hex() for x in mu]
+    assert swapped.multiplicity.tolist() == mult
 
 
 class TestThetaSum:
