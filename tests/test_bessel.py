@@ -149,7 +149,8 @@ class TestCrossProductZeros:
 
 def one_order_at_a_time(finder, orders):
     """The one-order finder run order by order up to the first empty order:
-    the tables and the index of that order."""
+    the zeros of each order before it, and that order (None if none is
+    empty)."""
     table = []
     for nu in orders:
         zeros = finder(nu)
