@@ -19,15 +19,20 @@ and in the tube
     ln Xi = (Lz O/lam^3) h_5/2 - (Lz L/(4 lam^2)) h_2 + ((1-r)/6)(Lz/lam) h_3/2
     N     = (Lz O/lam^3) h_3/2 - (Lz L/(4 lam^2)) h_1 + ((1-r)/6)(Lz/lam) h_1/2.
 
-``solve_fugacity`` brackets the root of the particle-number equation by a
-geometric walk, which also decides the branch and the refusals, polishes
-it with ``bracketed_root`` (regula falsi with the Anderson-Bjorck step)
-and reports how trustworthy the asymptotic model is at the solution
+``solve_fugacity`` seeds the particle-number equation by inverting its bulk
+term (Boltzmann for Bose; exactly in the plane and by the degenerate limit
+in a tube for Fermi), brackets the root by a walk that also decides the
+branch and the refusals (geometric in z and 1 - z for Bose, steps in ln z
+from 1/8 doubling to ln 4 for Fermi), polishes it with ``bracketed_root``
+(regula falsi with the Anderson-Bjorck step), checks the branch with one
+z dN/dz sum whose certified error settles its sign, and reports how
+trustworthy the asymptotic model is at the solution
 (wavelength/boundary/topology ratios, Fermi z > 1 flag).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +65,12 @@ BOSE_CONDENSATION_MARGIN = 1e-12
 #: Default validity thresholds (tunable per call and from the CLI).
 WARN_WAVELENGTH_RATIO = 0.2
 WARN_BOUNDARY_RATIO = 0.5
+
+_EPS = math.ulp(1.0)
+
+#: Growth factors of the Fermi bracket walk: steps of 1/8, 1/4, 1/2 and 1 in
+#: ln z, then ln 4 (a factor 4) for every further step.
+_FERMI_FACTORS = (math.exp(0.125), math.exp(0.25), math.exp(0.5), math.e)
 
 
 @dataclass(frozen=True)
@@ -137,8 +148,10 @@ def _terms(weights, shift, offset, h):
 
 
 def _state_sum(stat, weights, shift, offset, z_max=FERMI_Z_MAX, abs_budget=None):
-    """z -> the three terms weight_i * h_(order_i)(z) of one state sum, each
-    evaluation one h_orders call.
+    """z -> (terms, error): the three terms weight_i * h_(order_i)(z) of one
+    state sum, each evaluation one h_orders call, and the certified error of
+    their sum, sum_i |weight_i| * (bound_i + 4 eps |h_i|), which covers the
+    h bounds and the rounding of the weighted sum.
 
     When ``abs_budget`` is given, each series evaluation only needs
     budget/(4*|weight|) of tail accuracy for the weighted sum to stay within
@@ -151,17 +164,19 @@ def _state_sum(stat, weights, shift, offset, z_max=FERMI_Z_MAX, abs_budget=None)
     if abs_budget is not None:
         tails = [max(1e-15, min(abs_budget / (4.0 * abs(weights[i])), 1e-6)) for i in live]
 
-    def terms(z: float) -> tuple[float, float, float]:
+    def terms(z: float) -> tuple[tuple[float, float, float], float]:
         out = [0.0, 0.0, 0.0]
+        error = 0.0
         for i, fv in zip(live, h_orders(stat, z, orders, z_max, tails)):
             out[i] = weights[i] * fv.value
-        return tuple(out)
+            error += abs(weights[i]) * (fv.abs_error_bound + 4.0 * _EPS * abs(fv.value))
+        return tuple(out), error
 
     return terms
 
 
 def _weighted_terms(stat, weights, shift, offset, z, z_max=FERMI_Z_MAX, abs_budget=None):
-    """The three terms of one state sum at z; see ``_state_sum``."""
+    """(terms, error) of one state sum at z; see ``_state_sum``."""
     return _state_sum(stat, weights, shift, offset, z_max, abs_budget)(z)
 
 
@@ -174,21 +189,24 @@ def _nonnegative(label, value, lam, z):
     return value
 
 
-def _nonnegative_sum(label, stat, container, lam, z, offset):
+def _nonnegative_sum(label, stat, container, lam, z, offset, z_max):
     weights, shift, _ = _model(container, lam)
-    return _nonnegative(label, sum(_weighted_terms(stat, weights, shift, offset, z)), lam, z)
+    terms, _ = _weighted_terms(stat, weights, shift, offset, z, z_max)
+    return _nonnegative(label, sum(terms), lam, z)
 
 
 def log_grand_potential(stat: StatKind, container: PlanarDomain | TubeDomain,
-                        lam: float, z: float) -> float:
-    """ln Xi: orders 2, 3/2, 1 for a planar domain, 5/2, 2, 3/2 for a tube."""
-    return _nonnegative_sum("ln Xi", stat, container, lam, z, 1)
+                        lam: float, z: float, *, z_max: float = FERMI_Z_MAX) -> float:
+    """ln Xi: orders 2, 3/2, 1 for a planar domain, 5/2, 2, 3/2 for a tube.
+    ``z_max`` is the Fermi fugacity cap, as in ``solve_fugacity``."""
+    return _nonnegative_sum("ln Xi", stat, container, lam, z, 1, z_max)
 
 
 def particle_number(stat: StatKind, container: PlanarDomain | TubeDomain,
-                    lam: float, z: float) -> float:
-    """N(z): orders 1, 1/2, 0 for a planar domain, 3/2, 1, 1/2 for a tube."""
-    return _nonnegative_sum("N(z)", stat, container, lam, z, 0)
+                    lam: float, z: float, *, z_max: float = FERMI_Z_MAX) -> float:
+    """N(z): orders 1, 1/2, 0 for a planar domain, 3/2, 1, 1/2 for a tube.
+    ``z_max`` is the Fermi fugacity cap, as in ``solve_fugacity``."""
+    return _nonnegative_sum("N(z)", stat, container, lam, z, 0, z_max)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +299,20 @@ def solve_fugacity(
     AccuracyError
         The bracket shrank to adjacent floats before the residual met the
         target.
+
+    Notes
+    -----
+    The walk starts from the bulk term alone, inverted: z0 = N/w0 for Bose
+    (w0 the bulk weight); for Fermi z0 = expm1(N/w0) in the plane, where the
+    bulk term is w0 ln(1+z), and in a tube ln z0 = t - pi^2/(12 t) with
+    t = (Gamma(5/2) N/w0)^(2/3), the Sommerfeld inverse of w0 f_3/2(z), once
+    N >= w0 (N/w0 below that).  z0 is clipped into [1e-280, z_cap/2] (Bose:
+    1/2).  The walk steps up from the low end or down from the high end of
+    the bracket until the residual changes sign: Bose halves 1 - z up and
+    quarters z down; Fermi multiplies or divides z by exp(step), with steps
+    1/8, 1/4, 1/2, 1 and then ln 4.  The branch check sums z dN/dz once
+    under a coarse series budget and again under a fine one only when
+    |z dN/dz| does not exceed that sum's certified error.
     """
     if not (N > 0.0) or not math.isfinite(N):
         raise DomainError(f"particle number must be positive, got {N}")
@@ -301,19 +333,30 @@ def solve_fugacity(
     last = [None, ()]
 
     def residual(z: float) -> float:
-        terms = n_terms(z)
+        terms, _ = n_terms(z)
         last[:] = z, terms
         return sum(terms) - N
 
-    # Boltzmann seed: N(z) ~ z * (states within lambda), clipped into range.
-    seed = N / weights[0] if weights[0] > 0 else 0.5
+    # Seed: the bulk term alone, inverted (see Notes).  Below N = w0 the
+    # tube's degenerate form overshoots, so Boltzmann takes over there.
+    if not weights[0] > 0:
+        seed = 0.5
+    elif bose or (shift and N < weights[0]):
+        seed = N / weights[0]
+    elif shift:
+        t = (math.gamma(2.5) * N / weights[0]) ** (2.0 / 3.0)
+        seed = math.exp(min(t - math.pi**2 / (12.0 * t), 709.0))
+    else:
+        seed = math.expm1(min(N / weights[0], 709.0))
     z_cap = 1.0 - BOSE_CONDENSATION_MARGIN if bose else z_max
     z0 = min(max(seed, 1e-280), 0.5 if bose else z_cap / 2.0)
 
-    # Walk geometrically until the residual changes sign.  For Bose the walk
-    # approaches the condensation cap as z -> 1 - (1-z)/2; a residual that
-    # starts decreasing again while still negative means the equation peaked
-    # below N, i.e. near-condensation territory the model refuses.
+    # Walk until the residual changes sign: up from lo or down from hi.  For
+    # Bose the walk approaches the condensation cap as z -> 1 - (1-z)/2 and
+    # steps down by quarters; a residual that starts decreasing again while
+    # still negative means the equation peaked below N, i.e.
+    # near-condensation territory the model refuses.  For Fermi the steps in
+    # ln z start at 1/8, since the seed is close, and double up to ln 4.
     def residual_guarded(z: float) -> float:
         # Approaching the Bose condensation point the series length needed to
         # certify h_sigma blows up; a state that close to z = 1 is refused as
@@ -331,10 +374,11 @@ def solve_fugacity(
 
     lo = hi = z0
     f_lo = f_hi = f0 = residual_guarded(z0)
+    fermi_factors = itertools.chain(_FERMI_FACTORS, itertools.repeat(4.0))
     if f0 < 0.0:
         prev = f0
         while True:
-            nxt = min(1.0 - (1.0 - lo) / 2.0 if bose else lo * 2.0, z_cap)
+            nxt = min(1.0 - (1.0 - lo) / 2.0 if bose else lo * next(fermi_factors), z_cap)
             f_nxt = residual_guarded(nxt)
             if f_nxt >= 0.0:
                 hi, f_hi = nxt, f_nxt
@@ -357,7 +401,7 @@ def solve_fugacity(
             lo, f_lo, prev = nxt, f_nxt, f_nxt
     elif f0 > 0.0:
         while True:
-            nxt = lo / 4.0
+            nxt = hi / (4.0 if bose else next(fermi_factors))
             if nxt <= 1e-300:
                 raise NoBracketError(
                     f"residual never changes sign down to z = {nxt:.3g}; "
@@ -377,18 +421,18 @@ def solve_fugacity(
         )
 
     # Branch check: the analytic slope must be positive at the root.  Only
-    # its sign matters, so a coarse budget (error <= 3/4 of it) is tried
-    # first and tightened only when the sign is not yet certain.  A slope
-    # that cannot be certified this close to the Bose condensation point is
-    # refused the same way a non-monotone one is.
-    def slope(abs_budget: float) -> float:
-        return sum(_weighted_terms(stat, weights, shift, -1, z_star, z_max, abs_budget))
+    # its sign matters, so it is summed under a coarse budget and summed
+    # again under a fine one only when its certified error does not settle
+    # the sign.  A slope that cannot be certified this close to the Bose
+    # condensation point is refused the same way a non-monotone one is.
+    def slope(abs_budget: float) -> tuple[float, float]:
+        terms, error = _weighted_terms(stat, weights, shift, -1, z_star, z_max, abs_budget)
+        return sum(terms), error
 
     try:
-        deriv_budget = max(N, 16.0 * budget)
-        deriv = slope(deriv_budget)
-        if abs(deriv) <= deriv_budget:
-            deriv = slope(max(0.05 * abs(deriv), 4.0 * budget))
+        deriv, error = slope(max(N, 16.0 * budget))
+        if abs(deriv) <= error:
+            deriv, _ = slope(max(0.05 * abs(deriv), 4.0 * budget))
     except AccuracyError as exc:
         raise NonMonotoneError(
             f"cannot certify that the particle number is increasing at "

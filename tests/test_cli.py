@@ -5,10 +5,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import confinedgas
 from confinedgas.cli import main
 
 
@@ -139,6 +144,39 @@ class TestSolve:
                      "--N", "2000", "--T", "100", "--Lz", "500")
         assert result.exit_code == 0
         assert 0.0 < float(parse_csv(result.output)[0]["z"])
+
+
+class TestSolverTerminates:
+    """The bracket walk steps down from its high end: states whose seed lies
+    far above the root (here lambda/sqrt(area) = 14, where the corrections
+    dwarf the bulk term) finish with a warned row instead of looping.  Each
+    command runs in its own process under a timeout, so a solver that never
+    returns fails the test instead of hanging the suite."""
+
+    @staticmethod
+    def run_cli(*args):
+        src = str(Path(confinedgas.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        return subprocess.run([sys.executable, "-m", "confinedgas.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    @pytest.mark.parametrize("stat", ["bose", "fermi"])
+    def test_solve_far_above_the_root(self, stat):
+        result = self.run_cli("solve", "--stat", stat, "--shape", "disk:1",
+                              "--N", "0.001", "--T", "0.01")
+        assert result.returncode == 2
+        row = parse_csv(result.stdout)[0]
+        assert 0.009 < float(row["z"]) < 0.0095
+        assert "wavelength" in row["warnings"] and "boundary" in row["warnings"]
+
+    def test_table_far_above_the_root(self):
+        result = self.run_cli("table", "--stat", "fermi", "--shape", "disk:1",
+                              "--N", "0.001", "--T-grid", "0.01:0.01:1")
+        assert result.returncode == 2
+        row = parse_csv(result.stdout)[0]
+        assert row["status"] == "ok"
+        assert 0.009 < float(row["z"]) < 0.0095
 
 
 class TestTable:

@@ -220,8 +220,8 @@ class TestSolveFugacity:
         weighted_terms = eos._weighted_terms
 
         def falling_slope(stat, weights, shift, offset, *args, **kwargs):
-            if offset == -1:  # the z dN/dz sum of the branch check
-                return (-1.0, 0.0, 0.0)
+            if offset == -1:  # the z dN/dz sum of the branch check: (terms, error)
+                return (-1.0, 0.0, 0.0), 0.0
             return weighted_terms(stat, weights, shift, offset, *args, **kwargs)
 
         monkeypatch.setattr(eos, "_weighted_terms", falling_slope)
@@ -319,6 +319,99 @@ class TestPressure:
         assert p > N * T / dom.area
         with pytest.raises(DomainError, match="configured cap"):
             pressure(FERMI, dom, state)
+
+    def test_state_sums_honour_the_solve_cap(self):
+        """N and ln Xi can be re-evaluated at a Fermi state solved above the
+        default cap 1e8; the default still refuses."""
+        dom = make_domain(Disk(1.0))
+        T = 2.0 * math.pi / 0.01**2
+        N = 25.0 * dom.area / thermal_wavelength(T) ** 2
+        state, _ = solve_fugacity(FERMI, dom, N, T, z_max=1e12)
+        assert 1e10 < state.z < 1e12
+        got = particle_number(FERMI, dom, state.lam, state.z, z_max=1e12)
+        assert abs(got - N) <= 2e-12 * N
+        ln_xi = log_grand_potential(FERMI, dom, state.lam, state.z, z_max=1e12)
+        assert pressure(FERMI, dom, state, z_max=1e12) == state.T * ln_xi / dom.area
+        for f in (particle_number, log_grand_potential):
+            with pytest.raises(DomainError, match="configured cap"):
+                f(FERMI, dom, state.lam, state.z)
+
+
+class TestSolveCost:
+    """How many h evaluations a Fermi solve makes: one h_orders call per
+    residual, one per z dN/dz sum."""
+
+    @staticmethod
+    def count(monkeypatch, name):
+        """Count calls of eos.<name>; returns the list of their arguments."""
+        seen = []
+        inner = getattr(eos, name)
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(eos, name, counted)
+        return seen
+
+    def test_fermi_solve_makes_at_most_ten_h_calls(self, monkeypatch):
+        """Disk, annulus and rectangle, planar and as tubes, lam/sqrt(area)
+        0.01, 0.03 and 0.1, z* log-spaced over [1e-6, 1e4]: every solve
+        meets its residual in at most 10 h_orders calls."""
+        calls = self.count(monkeypatch, "h_orders")
+        worst = 0
+        for shape in (Disk(1.0), Annulus(0.5, 1.5), Rectangle(2.0, 0.5)):
+            dom = make_domain(shape)
+            for container in (dom, TubeDomain(dom, 282.0 * math.sqrt(dom.area))):
+                for ratio in (0.01, 0.03, 0.1):
+                    lam = ratio * math.sqrt(dom.area)
+                    for z in np.geomspace(1e-6, 1e4, 21):
+                        N = particle_number(FERMI, container, lam, float(z))
+                        calls.clear()
+                        state, _ = solve_fugacity(FERMI, container, N, 2.0 * math.pi / lam**2)
+                        worst = max(worst, len(calls))
+                        assert state.z == pytest.approx(z, rel=1e-9)
+        assert worst <= 10
+
+    def test_degenerate_fermi_solve_sums_the_slope_once(self, monkeypatch):
+        """The certified error of a degenerate Fermi z dN/dz is far below its
+        value, so the branch check sums it once."""
+        sums = self.count(monkeypatch, "_weighted_terms")
+        dom = make_domain(Disk(1.0))
+        for container in (dom, TubeDomain(dom, 500.0)):
+            lam = 0.03
+            N = particle_number(FERMI, container, lam, 300.0)
+            sums.clear()
+            solve_fugacity(FERMI, container, N, 2.0 * math.pi / lam**2)
+            assert [args[3] for args in sums] == [-1]
+
+    @pytest.mark.parametrize("retry_falls", [False, True])
+    def test_uncertain_slope_sign_is_summed_again(self, monkeypatch, retry_falls):
+        """A z dN/dz whose certified error exceeds its value is summed again
+        under the fine budget, and that sum decides the branch."""
+        weighted_terms = eos._weighted_terms
+        budgets = []
+
+        def uncertain_slope(stat, weights, shift, offset, z, z_max, abs_budget=None):
+            terms, error = weighted_terms(stat, weights, shift, offset, z, z_max, abs_budget)
+            if offset == -1:
+                budgets.append(abs_budget)
+                if len(budgets) == 1:
+                    return terms, 2.0 * abs(sum(terms))
+                if retry_falls:
+                    return (-1.0, 0.0, 0.0), 0.0
+            return terms, error
+
+        monkeypatch.setattr(eos, "_weighted_terms", uncertain_slope)
+        dom = make_domain(Disk(1.0))
+        for stat in (BOSE, FERMI):
+            budgets.clear()
+            if retry_falls:
+                with pytest.raises(NonMonotoneError):
+                    solve_fugacity(stat, dom, N=10.0, T=500.0)
+            else:
+                assert solve_fugacity(stat, dom, N=10.0, T=500.0)[0].z > 0.0
+            assert len(budgets) == 2 and budgets[1] < budgets[0]
 
 
 def particle_number_error(stat, container, lam, z):
