@@ -28,11 +28,7 @@ from .statfun import (
     Method,
     Order,
     StatKind,
-    bose_limit_at_unity,
     eval_h,
-    eval_h_closed_form,
-    eval_h_inversion,
-    eval_h_series,
     h_orders,
 )
 from .geometry import (

@@ -138,11 +138,14 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def _parse_t_list(text: str) -> list[float]:
-    """Comma-separated heat-kernel times, largest first."""
+    """Comma-separated positive, finite heat-kernel times, largest first."""
     try:
-        return sorted((float(s) for s in text.split(",")), reverse=True)
+        times = sorted((float(s) for s in text.split(",")), reverse=True)
     except ValueError as exc:
         raise DomainError(f"t-list {text!r}: expected comma-separated numbers ({exc})") from exc
+    if not all(0.0 < t < math.inf for t in times):
+        raise DomainError(f"t-list {text!r}: every time must be positive and finite")
+    return times
 
 
 @click.group()

@@ -132,9 +132,9 @@ _ORDERS = {
 }
 
 
-def _h_table(stat, z, orders, z_max=FERMI_Z_MAX):
+def _h_table(stat, z, orders):
     """{order: h_order(z)} from one h_orders call."""
-    return {o: fv.value for o, fv in zip(orders, h_orders(stat, z, orders, z_max))}
+    return {o: fv.value for o, fv in zip(orders, h_orders(stat, z, orders))}
 
 
 def _terms(weights, shift, offset, h):
@@ -147,7 +147,7 @@ def _terms(weights, shift, offset, h):
     return tuple(w * h[o] if w != 0.0 else 0.0 for w, o in zip(weights, _ORDERS[shift, offset]))
 
 
-def _state_sum(stat, weights, shift, offset, z_max=FERMI_Z_MAX, abs_budget=None):
+def _state_sum(stat, weights, shift, offset, abs_budget=None):
     """z -> (terms, error): the three terms weight_i * h_(order_i)(z) of one
     state sum, each evaluation one h_orders call, and the certified error of
     their sum, sum_i |weight_i| * (bound_i + 4 eps |h_i|), which covers the
@@ -167,7 +167,7 @@ def _state_sum(stat, weights, shift, offset, z_max=FERMI_Z_MAX, abs_budget=None)
     def terms(z: float) -> tuple[tuple[float, float, float], float]:
         out = [0.0, 0.0, 0.0]
         error = 0.0
-        for i, fv in zip(live, h_orders(stat, z, orders, z_max, tails)):
+        for i, fv in zip(live, h_orders(stat, z, orders, tails)):
             out[i] = weights[i] * fv.value
             error += abs(weights[i]) * (fv.abs_error_bound + 4.0 * _EPS * abs(fv.value))
         return tuple(out), error
@@ -175,9 +175,9 @@ def _state_sum(stat, weights, shift, offset, z_max=FERMI_Z_MAX, abs_budget=None)
     return terms
 
 
-def _weighted_terms(stat, weights, shift, offset, z, z_max=FERMI_Z_MAX, abs_budget=None):
+def _weighted_terms(stat, weights, shift, offset, z, abs_budget=None):
     """(terms, error) of one state sum at z; see ``_state_sum``."""
-    return _state_sum(stat, weights, shift, offset, z_max, abs_budget)(z)
+    return _state_sum(stat, weights, shift, offset, abs_budget)(z)
 
 
 def _nonnegative(label, value, lam, z):
@@ -189,24 +189,22 @@ def _nonnegative(label, value, lam, z):
     return value
 
 
-def _nonnegative_sum(label, stat, container, lam, z, offset, z_max):
+def _nonnegative_sum(label, stat, container, lam, z, offset):
     weights, shift, _ = _model(container, lam)
-    terms, _ = _weighted_terms(stat, weights, shift, offset, z, z_max)
+    terms, _ = _weighted_terms(stat, weights, shift, offset, z)
     return _nonnegative(label, sum(terms), lam, z)
 
 
 def log_grand_potential(stat: StatKind, container: PlanarDomain | TubeDomain,
-                        lam: float, z: float, *, z_max: float = FERMI_Z_MAX) -> float:
-    """ln Xi: orders 2, 3/2, 1 for a planar domain, 5/2, 2, 3/2 for a tube.
-    ``z_max`` is the Fermi fugacity cap, as in ``solve_fugacity``."""
-    return _nonnegative_sum("ln Xi", stat, container, lam, z, 1, z_max)
+                        lam: float, z: float) -> float:
+    """ln Xi: orders 2, 3/2, 1 for a planar domain, 5/2, 2, 3/2 for a tube."""
+    return _nonnegative_sum("ln Xi", stat, container, lam, z, 1)
 
 
 def particle_number(stat: StatKind, container: PlanarDomain | TubeDomain,
-                    lam: float, z: float, *, z_max: float = FERMI_Z_MAX) -> float:
-    """N(z): orders 1, 1/2, 0 for a planar domain, 3/2, 1, 1/2 for a tube.
-    ``z_max`` is the Fermi fugacity cap, as in ``solve_fugacity``."""
-    return _nonnegative_sum("N(z)", stat, container, lam, z, 0, z_max)
+                    lam: float, z: float) -> float:
+    """N(z): orders 1, 1/2, 0 for a planar domain, 3/2, 1, 1/2 for a tube."""
+    return _nonnegative_sum("N(z)", stat, container, lam, z, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +264,6 @@ def solve_fugacity(
     T: float,
     tol: float = 1e-12,
     *,
-    z_max: float = FERMI_Z_MAX,
     warn_wavelength: float = WARN_WAVELENGTH_RATIO,
     warn_boundary: float = WARN_BOUNDARY_RATIO,
 ) -> tuple[GasState, ValidityReport]:
@@ -280,8 +277,8 @@ def solve_fugacity(
     tol :
         Relative residual target: |N(z) - N| <= tol * N at the returned z,
         up to the certified error of the h values that N(z) sums.
-    z_max, warn_wavelength, warn_boundary :
-        Fermi fugacity cap and validity warning thresholds.
+    warn_wavelength, warn_boundary :
+        Validity warning thresholds; NaN is refused.
 
     Returns
     -------
@@ -292,7 +289,7 @@ def solve_fugacity(
     NoBracketError
         Bose: N exceeds the maximum particle number reachable before the
         condensation margin (the model excludes condensation).  Fermi: N is
-        unreachable below the fugacity cap.
+        unreachable below the fugacity cap ``FERMI_Z_MAX``.
     NonMonotoneError
         The particle-number equation is decreasing at the root; the
         corrections are too large for the model to be trusted here.
@@ -318,6 +315,11 @@ def solve_fugacity(
         raise DomainError(f"particle number must be positive, got {N}")
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
+    if math.isnan(warn_wavelength) or math.isnan(warn_boundary):
+        raise DomainError(
+            f"warning thresholds must be numbers, got wavelength {warn_wavelength} "
+            f"and boundary {warn_boundary}"
+        )
     lam = thermal_wavelength(T)
     bose = stat is StatKind.BOSE
     weights, shift, area = _model(container, lam)
@@ -328,7 +330,7 @@ def solve_fugacity(
     # term cap.
     budget = 0.25 * tol * N
 
-    n_terms = _state_sum(stat, weights, shift, 0, z_max, budget)
+    n_terms = _state_sum(stat, weights, shift, 0, budget)
     # z and the terms of the latest residual, kept for the validity ratios.
     last = [None, ()]
 
@@ -348,7 +350,7 @@ def solve_fugacity(
         seed = math.exp(min(t - math.pi**2 / (12.0 * t), 709.0))
     else:
         seed = math.expm1(min(N / weights[0], 709.0))
-    z_cap = 1.0 - BOSE_CONDENSATION_MARGIN if bose else z_max
+    z_cap = 1.0 - BOSE_CONDENSATION_MARGIN if bose else FERMI_Z_MAX
     z0 = min(max(seed, 1e-280), 0.5 if bose else z_cap / 2.0)
 
     # Walk until the residual changes sign: up from lo or down from hi.  For
@@ -426,7 +428,7 @@ def solve_fugacity(
     # the sign.  A slope that cannot be certified this close to the Bose
     # condensation point is refused the same way a non-monotone one is.
     def slope(abs_budget: float) -> tuple[float, float]:
-        terms, error = _weighted_terms(stat, weights, shift, -1, z_star, z_max, abs_budget)
+        terms, error = _weighted_terms(stat, weights, shift, -1, z_star, abs_budget)
         return sum(terms), error
 
     try:
@@ -481,19 +483,17 @@ def solve_fugacity(
     return state, report
 
 
-def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasState,
-             *, z_max: float = FERMI_Z_MAX) -> float:
+def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasState) -> float:
     """Pressure from P * measure = T * ln Xi (k_B = 1).
 
     For a planar domain the measure is the area (spreading pressure); for a
     tube it is the volume length_z * area.  Each tube adds one dimension and
     one half-order step, so the measure is the bulk weight times
-    lam^(2 + shift).  ``z_max`` is the Fermi fugacity cap the state was
-    solved under.
+    lam^(2 + shift).
     """
     weights, shift, _ = _model(container, state.lam)
     orders = [o for w, o in zip(weights, _ORDERS[shift, 1]) if w != 0.0]
-    return _pressure(container, state, _h_table(stat, state.z, orders, z_max))
+    return _pressure(container, state, _h_table(stat, state.z, orders))
 
 
 def _pressure(container, state: GasState, h) -> float:

@@ -34,7 +34,6 @@ from .statfun import StatKind
 
 __all__ = [
     "Spectrum",
-    "ThetaQuery",
     "STATE_CAP",
     "rectangle_spectrum",
     "disk_spectrum",
@@ -48,17 +47,6 @@ STATE_CAP = 10**7
 
 #: Safety factor on the Weyl bulk density used for the truncation bound.
 _TAIL_SAFETY = 1.5
-
-
-@dataclass(frozen=True)
-class ThetaQuery:
-    """Heat-trace time; equals the inverse temperature in natural units."""
-
-    t: float
-
-    def __post_init__(self):
-        if not (self.t > 0.0) or not math.isfinite(self.t):
-            raise DomainError(f"heat-kernel time must be positive, got {self.t}")
 
 
 @dataclass(frozen=True)
@@ -141,8 +129,12 @@ def _finalize(shape, entries, cutoff) -> Spectrum:
 # enumerations
 # ---------------------------------------------------------------------------
 
-def rectangle_spectrum(a: float, b: float, cutoff: float,
-                       state_cap: int = STATE_CAP) -> Spectrum:
+def _require_finite(cutoff: float) -> None:
+    if not math.isfinite(cutoff):
+        raise DomainError(f"spectrum cutoff must be finite, got {cutoff}")
+
+
+def rectangle_spectrum(a: float, b: float, cutoff: float) -> Spectrum:
     """Exact rectangle spectrum below ``cutoff``.
 
     Degenerate levels are merged by exact integer keys.  Every float is a
@@ -153,13 +145,14 @@ def rectangle_spectrum(a: float, b: float, cutoff: float,
     """
     if not (a > 0.0 and b > 0.0 and cutoff > 0.0):
         raise DomainError("rectangle_spectrum needs a, b, cutoff > 0")
+    _require_finite(cutoff)
     kappa = 2.0 * cutoff / math.pi**2  # n^2/a^2 + m^2/b^2 <= kappa
     n_max = int(math.floor(a * math.sqrt(kappa))) + 1
     m_max = int(math.floor(b * math.sqrt(kappa))) + 1
-    if _weyl_count(Rectangle(a, b), cutoff) > state_cap:
+    if _weyl_count(Rectangle(a, b), cutoff) > STATE_CAP:
         raise ResourceError(
             f"rectangle spectrum below mu={cutoff} implies ~"
-            f"{_weyl_count(Rectangle(a, b), cutoff):.3g} states (cap {state_cap})"
+            f"{_weyl_count(Rectangle(a, b), cutoff):.3g} states (cap {STATE_CAP})"
         )
     (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
     pk, qk = kappa.as_integer_ratio()
@@ -185,12 +178,13 @@ def rectangle_spectrum(a: float, b: float, cutoff: float,
     return _finalize(Rectangle(a, b), entries, cutoff)
 
 
-def disk_spectrum(R: float, cutoff: float, state_cap: int = STATE_CAP) -> Spectrum:
+def disk_spectrum(R: float, cutoff: float) -> Spectrum:
     """Exact disk spectrum below ``cutoff`` from the zeros of J_nu."""
     if not (R > 0.0 and cutoff > 0.0):
         raise DomainError("disk_spectrum needs R, cutoff > 0")
-    if _weyl_count(Disk(R), cutoff) > state_cap:
-        raise ResourceError(f"disk spectrum below mu={cutoff} exceeds cap {state_cap}")
+    _require_finite(cutoff)
+    if _weyl_count(Disk(R), cutoff) > STATE_CAP:
+        raise ResourceError(f"disk spectrum below mu={cutoff} exceeds cap {STATE_CAP}")
     jmax = R * math.sqrt(2.0 * cutoff)
     entries = [(z * z / (2.0 * R * R), 1 if nu == 0 else 2)
                for nu, zeros in enumerate(j_zeros(range(math.ceil(jmax)), jmax))
@@ -198,13 +192,13 @@ def disk_spectrum(R: float, cutoff: float, state_cap: int = STATE_CAP) -> Spectr
     return _finalize(Disk(R), entries, cutoff)
 
 
-def annulus_spectrum(r_inner: float, r_outer: float, cutoff: float,
-                     state_cap: int = STATE_CAP) -> Spectrum:
+def annulus_spectrum(r_inner: float, r_outer: float, cutoff: float) -> Spectrum:
     """Exact annulus spectrum below ``cutoff`` from cross-product zeros."""
     if not (0.0 < r_inner < r_outer) or cutoff <= 0.0:
         raise DomainError("annulus_spectrum needs 0 < Ri < Ro and cutoff > 0")
-    if _weyl_count(Annulus(r_inner, r_outer), cutoff) > state_cap:
-        raise ResourceError(f"annulus spectrum below mu={cutoff} exceeds cap {state_cap}")
+    _require_finite(cutoff)
+    if _weyl_count(Annulus(r_inner, r_outer), cutoff) > STATE_CAP:
+        raise ResourceError(f"annulus spectrum below mu={cutoff} exceeds cap {STATE_CAP}")
     kmax = math.sqrt(2.0 * cutoff)
     # Scans start at 0.95 nu/r_outer, so no order from kmax r_outer/0.95 on
     # has a zero.
@@ -219,13 +213,17 @@ def annulus_spectrum(r_inner: float, r_outer: float, cutoff: float,
 # queries
 # ---------------------------------------------------------------------------
 
-def theta_sum(spec: Spectrum, q: ThetaQuery | float) -> tuple[float, float]:
+def theta_sum(spec: Spectrum, t: float) -> tuple[float, float]:
     """Heat trace sum(mult * exp(-mu t)) with a rigorous truncation bound.
 
-    The omitted tail is bounded by tail_bound_coeff * exp(-cutoff t)/t; the
-    sum refuses (TruncationError) when that exceeds 1e-6 of the value.
+    The heat-trace time t equals the inverse temperature in natural units
+    and must be positive and finite.  The omitted tail is bounded by
+    tail_bound_coeff * exp(-cutoff t)/t; the sum refuses (TruncationError)
+    when that exceeds 1e-6 of the value.
     """
-    t = q.t if isinstance(q, ThetaQuery) else ThetaQuery(float(q)).t
+    t = float(t)
+    if not (t > 0.0) or not math.isfinite(t):
+        raise DomainError(f"heat-kernel time must be positive, got {t}")
     value = float(np.sum(spec.multiplicity * np.exp(-spec.mu * t)))
     bound = spec.tail_bound_coeff * math.exp(-spec.cutoff * t) / t
     if bound > 1e-6 * value:

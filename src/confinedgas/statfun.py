@@ -5,28 +5,33 @@ The two textbook families
     g_sigma(z) = sum_{n>=1} z^n / n^sigma          (Bose-Einstein)
     f_sigma(z) = sum_{n>=1} (-1)^(n+1) z^n / n^sigma   (Fermi-Dirac)
 
-are handled through one entry point, ``eval_h``, selected by ``StatKind``.
-For sigma > 0 both are equivalently
+are selected by ``StatKind``.  For sigma > 0 both are equivalently
 
     h_sigma(z) = 1/Gamma(sigma) * int_0^inf x^(sigma-1) / (e^x / z -+ 1) dx.
 
 Only the half-integer orders -1, -1/2, 0, 1/2, 1, 3/2, 2, 5/2 required by
 the confined-gas equations of state are constructible.
 
-Every evaluation returns a :class:`FunctionValue` carrying the value, a
-certified absolute error bound, and the method that produced it.
-``h_orders`` evaluates several orders at one z in one call, as every state
-sum of the equations of state needs: it checks z once, computes the closed
-forms inline and shares the complex roots of Jonquiere's formula between
-the Fermi half-integer orders.  ``eval_h`` is its one-order form.  Nothing
-is memoised: equal arguments are simply recomputed.  Method selection:
+There are two entry points.  ``h_orders`` evaluates several orders at one z
+in one call, as every state sum of the equations of state needs: it checks
+z once, computes the closed forms inline and shares the complex roots of
+Jonquiere's formula between the Fermi half-integer orders.  ``eval_h`` is
+its one-order form.  Every evaluation returns a :class:`FunctionValue`
+carrying the value, a certified absolute error bound, and the method that
+produced it.  Nothing is memoised: equal arguments are simply recomputed.
+Method selection:
 
 * exact closed forms for sigma in {1, 0, -1};
 * the defining power series for 0 < z <= 0.99 (and for all Bose z < 1,
   where the series is the only convergent representation);
 * exact inversion formulas for Fermi z > 0.99: Jonquiere's formula with an
   Euler-Maclaurin Hurwitz zeta for the half-integer orders, and the
-  dilogarithm inversion with Landen's identity for sigma = 2.
+  dilogarithm inversion with Landen's identity for sigma = 2;
+* zeta(sigma) for Bose z = 1, finite only for sigma > 1.
+
+The routes are private helpers that only ``h_orders`` calls, after its one
+domain check.  The caps are fixed: Fermi z up to ``FERMI_Z_MAX`` and at
+most ``SERIES_TERM_CAP`` series terms.
 
 All functions are pure and thread-safe.
 """
@@ -63,10 +68,6 @@ __all__ = [
     "METHOD_SWITCH_Z",
     "eval_h",
     "h_orders",
-    "eval_h_closed_form",
-    "eval_h_series",
-    "eval_h_inversion",
-    "bose_limit_at_unity",
 ]
 
 _EPS = 2.220446049250313e-16
@@ -76,10 +77,10 @@ _EPS = 2.220446049250313e-16
 ABS_CONTRACT = 1e-10
 REL_CONTRACT = 1e-10
 
-#: Default cap on the Fermi fugacity accepted by :func:`eval_h`.
+#: Cap on the Fermi fugacity accepted by :func:`h_orders`.
 FERMI_Z_MAX = 1e8
 
-#: Default cap on the number of series terms before giving up.
+#: Cap on the number of series terms before giving up.
 SERIES_TERM_CAP = 10**6
 
 #: Fermi evaluations switch from series to the inversion formulas above this
@@ -188,36 +189,26 @@ class FunctionValue:
     terms: int | None = None
 
 
-def _require_z_in_domain(stat: StatKind, z: float, z_max: float) -> None:
+def _require_z_in_domain(stat: StatKind, z: float) -> None:
     if not (z > 0.0) or not math.isfinite(z):
         raise DomainError(f"fugacity z={z} must be positive and finite")
     if stat is StatKind.BOSE and z > 1.0:
         raise DomainError(f"Bose fugacity z={z} > 1 has no meaning (condensation)")
-    if stat is StatKind.FERMI and z > z_max:
-        raise DomainError(f"Fermi fugacity z={z} exceeds the configured cap {z_max}")
+    if stat is StatKind.FERMI and z > FERMI_Z_MAX:
+        raise DomainError(f"Fermi fugacity z={z} exceeds the configured cap {FERMI_Z_MAX}")
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
 
-def eval_h_closed_form(stat: StatKind, sigma, z: float) -> FunctionValue:
-    """Exact closed form of h_sigma for sigma in {1, 0, -1}.
+def _closed_form(bose: bool, twice: int, z: float) -> FunctionValue:
+    """Exact closed form of h_sigma(z) for 2 sigma in {2, 0, -2}, with z
+    already checked (Bose z < 1):
 
-    Bose:  g_1 = -ln(1-z),  g_0 = z/(1-z),  g_-1 = z/(1-z)^2   (z < 1)
+    Bose:  g_1 = -ln(1-z),  g_0 = z/(1-z),  g_-1 = z/(1-z)^2
     Fermi: f_1 =  ln(1+z),  f_0 = z/(1+z),  f_-1 = z/(1+z)^2
     """
-    sigma = Order.of(sigma)
-    _require_z_in_domain(stat, z, math.inf)
-    if sigma not in (ONE, ZERO, MINUS_ONE):
-        raise DomainError(f"no closed form for sigma={sigma}")
-    if stat is StatKind.BOSE and z >= 1.0:
-        raise DomainError("Bose closed forms require z < 1 strictly")
-    return _closed_form(stat is StatKind.BOSE, sigma.twice, z)
-
-
-def _closed_form(bose: bool, twice: int, z: float) -> FunctionValue:
-    """h_sigma(z) for 2 sigma in {2, 0, -2}, with z already checked."""
     if twice == 2:
         value = -math.log1p(-z) if bose else math.log1p(z)
     elif twice == 0:
@@ -254,31 +245,12 @@ def _series_tail_majorant(sigma: float, z: float, n: int) -> float:
     return lead * (n + 1) ** (-sigma) / (1.0 - rho)
 
 
-def eval_h_series(
-    stat: StatKind,
-    sigma,
-    z: float,
-    tail_bound: float = 1e-12,
-    term_cap: int = SERIES_TERM_CAP,
-) -> FunctionValue:
-    """Sum the defining series until the rigorous tail bound is met.
-
-    Parameters
-    ----------
-    stat, sigma, z :
-        Statistics, order and fugacity; the series converges for 0 < z < 1.
-    tail_bound :
-        Target absolute bound on the neglected tail.
-    term_cap :
-        Hard cap on the number of terms; exceeding it raises AccuracyError
-        carrying the bound that was actually achieved.
+def _series(stat: StatKind, sigma: Order, z: float, tail_bound: float) -> FunctionValue:
+    """Sum the defining series, for 0 < z < 1, until the rigorous bound on
+    the neglected tail is at most ``tail_bound`` > 0.  More than
+    ``SERIES_TERM_CAP`` terms raise AccuracyError carrying the bound that
+    was actually achieved.
     """
-    sigma = Order.of(sigma)
-    if not (0.0 < z < 1.0):
-        raise DomainError(f"series representation requires 0 < z < 1, got z={z}")
-    if tail_bound <= 0.0:
-        raise DomainError("tail_bound must be positive")
-
     sig = sigma.value
     log_z = math.log(z)
     fermi = stat is StatKind.FERMI
@@ -289,8 +261,8 @@ def eval_h_series(
     # Geometric blocks keep the numpy overhead negligible for short series
     # while still vectorising the ~30k-term sums near z -> 1.
     block = 64
-    while n_done < term_cap:
-        n_hi = min(n_done + block, term_cap)
+    while n_done < SERIES_TERM_CAP:
+        n_hi = min(n_done + block, SERIES_TERM_CAP)
         n = np.arange(n_done + 1, n_hi + 1, dtype=np.float64)
         terms = np.exp(n * log_z - sig * np.log(n))
         block_abs = float(np.sum(terms))
@@ -309,7 +281,7 @@ def eval_h_series(
 
     achieved = _series_tail_majorant(sig, z, n_done)
     raise AccuracyError(
-        f"series for h_{sigma}({z}) needs more than {term_cap} terms "
+        f"series for h_{sigma}({z}) needs more than {SERIES_TERM_CAP} terms "
         f"(achieved tail bound {achieved:.3e}, requested {tail_bound:.3e})",
         achieved=achieved,
     )
@@ -487,27 +459,21 @@ def _fermi_dilog(z: float) -> tuple[float, float]:
     return value, small_bound + 4.0 * _EPS * (_PI2_6 + log_z * log_z + small)
 
 
-def eval_h_inversion(stat: StatKind, sigma, z: float) -> FunctionValue:
-    """Fermi f_sigma(z) from exact inversion formulas, any z > 0.
+def _inversion(sigma: Order, z: float, nodes: _Nodes | None = None) -> FunctionValue:
+    """Fermi f_sigma(z) from exact inversion formulas, any z > 0, for the
+    orders without a closed form.
 
     Half-integer orders use Jonquiere's formula with an Euler-Maclaurin
-    Hurwitz zeta; sigma = 2 uses the dilogarithm inversion and Landen's
-    identity.  The bound covers the rigorous truncation remainders and the
-    floating-point rounding; every loop has a fixed trip count.
+    Hurwitz zeta at ``nodes`` (computed here when None); sigma = 2 uses the
+    dilogarithm inversion and Landen's identity.  The bound covers the
+    rigorous truncation remainders and the floating-point rounding; every
+    loop has a fixed trip count.  A bound outside the accuracy contract
+    raises AccuracyError.
     """
-    sigma = Order.of(sigma)
-    if stat is not StatKind.FERMI:
-        raise DomainError("inversion route is defined for Fermi statistics only")
-    dilog = sigma == TWO
-    if not dilog and sigma.twice not in _JONQUIERE:
-        raise DomainError(f"sigma={sigma} has a closed form; use eval_h_closed_form")
-    _require_z_in_domain(stat, z, math.inf)
-    if dilog:
-        return _certified_inversion(sigma, z, *_fermi_dilog(z))
-    return _certified_inversion(sigma, z, *_fermi_jonquiere(sigma, _jonquiere_nodes(z)))
-
-
-def _certified_inversion(sigma: Order, z: float, value: float, bound: float) -> FunctionValue:
+    if sigma.twice == 4:
+        value, bound = _fermi_dilog(z)
+    else:
+        value, bound = _fermi_jonquiere(sigma, _jonquiere_nodes(z) if nodes is None else nodes)
     if bound > max(ABS_CONTRACT, REL_CONTRACT * abs(value)):
         raise AccuracyError(
             f"inversion h_{sigma}({z}): achieved bound {bound:.3e} misses the "
@@ -518,44 +484,38 @@ def _certified_inversion(sigma: Order, z: float, value: float, bound: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# Bose limit at z = 1
+# entry points
 # ---------------------------------------------------------------------------
 
-def bose_limit_at_unity(sigma) -> FunctionValue:
-    """g_sigma(1) = zeta(sigma), finite only for sigma > 1."""
-    sigma = Order.of(sigma)
-    if sigma.value <= 1.0:
-        raise DomainError(
-            f"g_{sigma}(z) diverges as z -> 1 for sigma <= 1 (condensation boundary)"
-        )
-    value = _ZETA[sigma.twice]
-    return FunctionValue(value, 4.0 * _EPS * abs(value), Method.CLOSED_FORM)
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
-# ---------------------------------------------------------------------------
-
-def h_orders(
-    stat: StatKind,
-    z: float,
-    orders,
-    z_max: float = FERMI_Z_MAX,
-    tail_bounds=None,
-) -> tuple[FunctionValue, ...]:
+def h_orders(stat: StatKind, z: float, orders, tail_bounds=None) -> tuple[FunctionValue, ...]:
     """Evaluate h_sigma(z) at every order of ``orders``, at one z.
 
     ``orders`` is a sequence of :class:`Order` values, in any order and
     with repeats allowed; the result holds one :class:`FunctionValue` per
-    entry, each equal to what :func:`eval_h` returns for that order.  z is
-    checked once.  The closed forms are computed inline, and the Fermi
-    half-integer orders above ``METHOD_SWITCH_Z`` share the roots of
-    Jonquiere's formula.  ``tail_bounds`` is None (the default 1e-12 series
-    tail for every order) or one series tail target per order; see
-    :func:`eval_h`.  The first order that cannot be evaluated raises its
-    DomainError or AccuracyError.
+    entry.  z is checked once: Bose requires z < 1 (z = 1 allowed for
+    sigma > 1, where g_sigma(1) = zeta(sigma)); Fermi requires
+    z <= ``FERMI_Z_MAX``.  The closed forms are computed inline, and the
+    Fermi half-integer orders above ``METHOD_SWITCH_Z`` share the roots of
+    Jonquiere's formula.
+
+    ``tail_bounds`` is None or one positive series tail target per order; a
+    series order whose target is not positive raises DomainError.  None
+    applies the 1e-12 target, which keeps every certified bound within the
+    module accuracy contract; a looser target waives that contract for its
+    order (abs_error_bound still reports what was achieved).  The fugacity
+    solver passes them so that near the Bose condensation point, where the
+    series get long, it stays within ``SERIES_TERM_CAP``.
+
+    Raises
+    ------
+    DomainError
+        z out of range, or Bose z = 1 with sigma <= 1 (divergence at the
+        condensation boundary).
+    AccuracyError
+        An order's bound is unreachable; ``achieved`` holds the bound
+        actually attained.  The first order that fails raises.
     """
-    _require_z_in_domain(stat, z, z_max)
+    _require_z_in_domain(stat, z)
     z = float(z)
     bose = stat is StatKind.BOSE
     nodes = None
@@ -567,34 +527,33 @@ def h_orders(
                 raise DomainError(
                     f"Bose h_{sigma}(1) diverges; z = 1 is admissible only for sigma > 1"
                 )
-            out.append(bose_limit_at_unity(sigma))
+            value = _ZETA[twice]
+            out.append(FunctionValue(value, 4.0 * _EPS * value, Method.CLOSED_FORM))
         elif twice in (2, 0, -2):
             out.append(_closed_form(bose, twice, z))
         elif bose or z <= METHOD_SWITCH_Z:
             tail = 1e-12 if tail_bounds is None else float(tail_bounds[i])
-            out.append(eval_h_series(stat, sigma, z, tail_bound=tail))
-        elif twice == 4:
-            out.append(_certified_inversion(sigma, z, *_fermi_dilog(z)))
+            if not tail > 0.0:
+                raise DomainError(f"series tail target {tail} must be positive")
+            out.append(_series(stat, sigma, z, tail))
         else:
-            if nodes is None:
+            if nodes is None and twice != 4:
                 nodes = _jonquiere_nodes(z)
-            out.append(_certified_inversion(sigma, z, *_fermi_jonquiere(sigma, nodes)))
+            out.append(_inversion(sigma, z, nodes))
     return tuple(out)
 
 
-def eval_h(
-    stat: StatKind,
-    sigma,
-    z: float,
-    z_max: float = FERMI_Z_MAX,
-    tail_bound: float | None = None,
-) -> FunctionValue:
+def eval_h(stat: StatKind, sigma, z: float) -> FunctionValue:
     """Evaluate h_sigma(z) by the best available method.
 
-    The one-order form of :func:`h_orders`, for callers that hold the order
-    as a number or a string's value; callers that need several orders at
-    one z call :func:`h_orders` with :class:`Order` constants instead.
-    Nothing is cached: every call recomputes its value.
+    The one-order form of :func:`h_orders`, and with it the only other
+    public way to evaluate h: for callers that hold the order as a number
+    or a string's value.  Callers that need several orders at one z call
+    :func:`h_orders` with :class:`Order` constants instead.  The caps are
+    fixed: Fermi z <= ``FERMI_Z_MAX``, at most ``SERIES_TERM_CAP`` series
+    terms, and the series tail target 1e-12 that keeps the certified bound
+    within the module accuracy contract.  Nothing is cached: every call
+    recomputes its value.
 
     Parameters
     ----------
@@ -604,17 +563,7 @@ def eval_h(
         Order; anything accepted by :meth:`Order.of`.
     z :
         Fugacity.  Bose requires z < 1 (z = 1 allowed for sigma > 1); Fermi
-        requires z < ``z_max``.
-    z_max :
-        Cap on the Fermi fugacity (default 1e8).
-    tail_bound :
-        Optional series tail target.  Leaving it at None applies the default
-        1e-12 target, which keeps the certified bound within the module
-        accuracy contract; passing a looser value explicitly waives that
-        contract (abs_error_bound still reports what was achieved).  Callers
-        that only need h to a known absolute accuracy (e.g. the fugacity
-        solver near the Bose condensation point, where series get long) use
-        this to stay within the term cap.
+        requires z <= ``FERMI_Z_MAX``.
 
     Returns
     -------
@@ -624,12 +573,10 @@ def eval_h(
     Raises
     ------
     DomainError
-        z out of range, or Bose z >= 1 with sigma <= 1 (divergence at the
+        z out of range, or Bose z = 1 with sigma <= 1 (divergence at the
         condensation boundary).
     AccuracyError
-        The requested bound is unreachable; ``achieved`` holds the bound
+        The contract bound is unreachable; ``achieved`` holds the bound
         actually attained.
     """
-    sigma = Order.of(sigma)
-    tails = None if tail_bound is None else (tail_bound,)
-    return h_orders(stat, z, (sigma,), z_max, tails)[0]
+    return h_orders(stat, z, (Order.of(sigma),))[0]

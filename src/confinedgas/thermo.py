@@ -31,7 +31,6 @@ from .eos import (
 )
 from .geometry import PlanarDomain, TubeDomain
 from .statfun import (
-    FERMI_Z_MAX,
     HALF,
     MINUS_HALF,
     MINUS_ONE,
@@ -126,10 +125,9 @@ def _cbrt(x: float) -> float:
 # two dimensions
 # ---------------------------------------------------------------------------
 
-def aux_2d(stat: StatKind, z: float, N: float, dom: PlanarDomain,
-           z_max: float = FERMI_Z_MAX) -> Aux2D:
+def aux_2d(stat: StatKind, z: float, N: float, dom: PlanarDomain) -> Aux2D:
     """Closed forms for sigma2 and eta2 at (z, N, geometry)."""
-    return _aux_2d(_h_table(stat, z, _AUX_2D, z_max), N, dom)
+    return _aux_2d(_h_table(stat, z, _AUX_2D), N, dom)
 
 
 def _aux_2d(h, N: float, dom: PlanarDomain) -> Aux2D:
@@ -191,12 +189,10 @@ def _thermo_2d_from_state(dom, state: GasState, aux: Aux2D, h):
     return u * N * T, f * N * T, s * N, c_v * N
 
 
-def thermo_2d(stat: StatKind, dom: PlanarDomain, N: float, T: float,
-              tol: float = 1e-12, *, z_max: float = FERMI_Z_MAX,
-              **solver_kwargs) -> ThermoReport:
+def thermo_2d(stat: StatKind, dom: PlanarDomain, N: float, T: float) -> ThermoReport:
     """Solve the state point and fill every 2-D closed form."""
-    state, validity = solve_fugacity(stat, dom, N, T, tol, z_max=z_max, **solver_kwargs)
-    h = _h_table(stat, state.z, _ROW_2D, z_max)
+    state, validity = solve_fugacity(stat, dom, N, T)
+    h = _h_table(stat, state.z, _ROW_2D)
     aux = _aux_2d(h, N, dom)
     U, F, S, C_V = _thermo_2d_from_state(dom, state, aux, h)
     P = _pressure(dom, state, h)
@@ -204,10 +200,9 @@ def thermo_2d(stat: StatKind, dom: PlanarDomain, N: float, T: float,
                         validity=validity)
 
 
-def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D,
-             z_max: float = FERMI_Z_MAX) -> float:
+def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D) -> float:
     """dz/dT at fixed N: -(z/T) * h_1/h_0 * eta2 (always negative)."""
-    h = _h_table(stat, state.z, (ONE, ZERO), z_max)
+    h = _h_table(stat, state.z, (ONE, ZERO))
     return -(state.z / state.T) * (h[ONE] / h[ZERO]) * aux.eta2
 
 
@@ -215,11 +210,10 @@ def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D,
 # three dimensions (uniform tube)
 # ---------------------------------------------------------------------------
 
-def aux_3d(stat: StatKind, z: float, N: float, tube: TubeDomain,
-           z_max: float = FERMI_Z_MAX) -> Aux3D:
+def aux_3d(stat: StatKind, z: float, N: float, tube: TubeDomain) -> Aux3D:
     """Closed forms for sigma3, eta3 and xi1..xi5, evaluated in dependency
     order xi5 -> xi4 -> xi3 -> xi2 -> xi1 -> sigma3 -> eta3."""
-    return _aux_3d(_h_table(stat, z, _AUX_3D, z_max), N, tube)
+    return _aux_3d(_h_table(stat, z, _AUX_3D), N, tube)
 
 
 def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:
@@ -342,12 +336,10 @@ def _thermo_3d_from_state(tube: TubeDomain, state: GasState, aux: Aux3D, h):
     return u * N * T, f * N * T, s * N, c_v * N
 
 
-def thermo_3d(stat: StatKind, tube: TubeDomain, N: float, T: float,
-              tol: float = 1e-12, *, z_max: float = FERMI_Z_MAX,
-              **solver_kwargs) -> ThermoReport:
+def thermo_3d(stat: StatKind, tube: TubeDomain, N: float, T: float) -> ThermoReport:
     """Solve the tube state point and fill every 3-D closed form."""
-    state, validity = solve_fugacity(stat, tube, N, T, tol, z_max=z_max, **solver_kwargs)
-    h = _h_table(stat, state.z, _ROW_3D, z_max)
+    state, validity = solve_fugacity(stat, tube, N, T)
+    h = _h_table(stat, state.z, _ROW_3D)
     aux = _aux_3d(h, N, tube)
     U, F, S, C_V = _thermo_3d_from_state(tube, state, aux, h)
     P = _pressure(tube, state, h)
@@ -355,8 +347,7 @@ def thermo_3d(stat: StatKind, tube: TubeDomain, N: float, T: float,
                         validity=validity)
 
 
-def dz_dT_3d(stat: StatKind, state: GasState, aux: Aux3D,
-             z_max: float = FERMI_Z_MAX) -> float:
+def dz_dT_3d(stat: StatKind, state: GasState, aux: Aux3D) -> float:
     """dz/dT at fixed N: -(3/2)(z/T) * h_3/2/h_1/2 * eta3 (always negative)."""
-    h = _h_table(stat, state.z, (THREE_HALVES, HALF), z_max)
+    h = _h_table(stat, state.z, (THREE_HALVES, HALF))
     return -1.5 * (state.z / state.T) * (h[THREE_HALVES] / h[HALF]) * aux.eta3

@@ -9,6 +9,12 @@ import math
 
 import numpy as np
 
+# Hypothesis mixes literals from the loaded local modules into its draws, so
+# a derandomized property draws other examples once another test file has
+# imported more of the package.  Loading every module up front makes the
+# draws the same whichever tests run, and in whichever order.
+import confinedgas.cli  # noqa: F401
+import confinedgas.spectral  # noqa: F401
 from confinedgas.statfun import StatKind
 
 

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from confinedgas import statfun
 from confinedgas.eos import particle_number, solve_fugacity
 from confinedgas.geometry import (
     Annulus,
@@ -32,10 +33,10 @@ from confinedgas.statfun import (
     THREE_HALVES,
     TWO,
     ZERO,
+    Method,
+    Order,
     StatKind,
     eval_h,
-    eval_h_closed_form,
-    eval_h_series,
 )
 from confinedgas.thermo import (
     aux_2d,
@@ -63,19 +64,21 @@ def h(stat, sigma, z):
 
 def test_criterion_1_special_functions():
     """Series vs closed forms (1e-12 abs), series vs independent quadrature
-    (1e-9), Fermi z=1 anchors (1e-10)."""
+    (1e-9), Fermi z=1 anchors (1e-10).  The series runs through its private
+    route at a 1e-13 tail, also outside its dispatch region."""
     worst_closed = 0.0
     for stat in (BOSE, FERMI):
         for sigma in (ZERO, ONE, MINUS_ONE):
             for z in np.linspace(0.005, 0.95, 200):
-                s = eval_h_series(stat, sigma, float(z), tail_bound=1e-13).value
-                c = eval_h_closed_form(stat, sigma, float(z)).value
-                worst_closed = max(worst_closed, abs(s - c))
+                s = statfun._series(stat, sigma, float(z), 1e-13).value
+                closed = eval_h(stat, sigma, float(z))
+                assert closed.method is Method.CLOSED_FORM
+                worst_closed = max(worst_closed, abs(s - closed.value))
     worst_quad = 0.0
     for stat in (BOSE, FERMI):
         for sigma in (0.5, 1.5, 2.0, 2.5):
             for z in np.linspace(0.02, 0.99, 25):
-                s = eval_h_series(stat, sigma, float(z), tail_bound=1e-13).value
+                s = statfun._series(stat, Order.of(sigma), float(z), 1e-13).value
                 q = de_quad_h(stat, sigma, float(z))
                 worst_quad = max(worst_quad, abs(s - q))
     worst_anchor = 0.0

@@ -95,6 +95,16 @@ class TestMalformedInput:
               "--tol", "inf"), "DomainError"),
             (("verify", "--suite", "heatkernel", "--t-list", "0.1,x"), "DomainError"),
             (("specfun", "--stat", "fermi", "--order", "1/0", "--z", "1"), "DomainError"),
+            (("oracle", "--shape", "rect:1,1", "--cutoff", "inf"), "DomainError"),
+            (("oracle", "--shape", "disk:1", "--cutoff", "inf"), "DomainError"),
+            (("oracle", "--shape", "annulus:1,2", "--cutoff", "inf"), "DomainError"),
+            (("oracle", "--shape", "annulus:1,2", "--cutoff", "nan"), "DomainError"),
+            (("verify", "--suite", "heatkernel", "--t-list", "0,0.1"), "DomainError"),
+            (("verify", "--suite", "heatkernel", "--t-list", "nan"), "DomainError"),
+            (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
+              "--warn-wavelength", "nan"), "DomainError"),
+            (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
+              "--warn-boundary", "nan"), "DomainError"),
         ]
         for args, error in cases:
             result = run(*args)
@@ -102,6 +112,8 @@ class TestMalformedInput:
             assert isinstance(result.exception, SystemExit), (args, result.exception)
             diag = json.loads(result.output.strip().splitlines()[-1])
             assert diag["error"] == error, args
+            if "--t-list" in args:
+                assert "t-list" in diag["message"], (args, diag)
 
 
 class TestSolve:

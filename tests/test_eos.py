@@ -1,5 +1,6 @@
 """Tests for grand potentials, particle-number equations and the solver."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -37,7 +38,7 @@ from confinedgas.geometry import (
     thermal_wavelength,
     weyl_state_sum,
 )
-from confinedgas.statfun import StatKind, eval_h
+from confinedgas.statfun import FERMI_Z_MAX, StatKind, eval_h
 from confinedgas.thermo import thermo_2d
 
 BOSE, FERMI = StatKind.BOSE, StatKind.FERMI
@@ -209,8 +210,12 @@ class TestSolveFugacity:
             solve_fugacity(BOSE, make_domain(Disk(1.0)), N=1e7, T=200.0)
 
     def test_fermi_cap_refused(self):
-        with pytest.raises(NoBracketError):
-            solve_fugacity(FERMI, make_domain(Disk(1.0)), N=1e4, T=500.0, z_max=2.0)
+        """A state that solves to z ~ 7.4e10 lies above the fixed cap 1e8."""
+        dom = make_domain(Disk(1.0))
+        T = 2.0 * math.pi / 0.01**2
+        N = 25.0 * dom.area / thermal_wavelength(T) ** 2
+        with pytest.raises(NoBracketError, match="Fermi fugacity cap"):
+            solve_fugacity(FERMI, dom, N, T)
         tube = TubeDomain(make_domain(Disk(1.0)), 500.0)
         with pytest.raises(NoBracketError):  # lam = 2.5e150: lam^3 is not finite
             solve_fugacity(FERMI, tube, N=1.0, T=1e-300)
@@ -237,6 +242,9 @@ class TestSolveFugacity:
         for tol in (0.0, -1e-12, math.nan, math.inf):
             with pytest.raises(DomainError):
                 solve_fugacity(BOSE, dom, N=1.0, T=10.0, tol=tol)
+        for thresholds in ({"warn_wavelength": math.nan}, {"warn_boundary": math.nan}):
+            with pytest.raises(DomainError, match="warning thresholds"):
+                solve_fugacity(BOSE, dom, N=1.0, T=10.0, **thresholds)
 
     def test_warnings_carry_thresholds(self):
         dom = make_domain(Disk(1.0))
@@ -306,35 +314,38 @@ class TestPressure:
         ln_xi = log_grand_potential(FERMI, tube, state.lam, state.z)
         assert p == pytest.approx(state.T * ln_xi / (400.0 * 2.0), rel=1e-12)
 
-    def test_pressure_honours_the_solve_cap(self):
-        """A Fermi state solved above the default cap 1e8 has a pressure
-        under that cap, equal to the thermo row's; the default still refuses."""
+    @staticmethod
+    def near_cap_state():
+        """A Fermi disk state that solves to z ~ 4e7, just under the cap 1e8."""
         dom = make_domain(Disk(1.0))
         T = 2.0 * math.pi / 0.01**2
-        N = 25.0 * dom.area / thermal_wavelength(T) ** 2
-        state, _ = solve_fugacity(FERMI, dom, N, T, z_max=1e12)
-        assert 1e10 < state.z < 1e12
-        p = pressure(FERMI, dom, state, z_max=1e12)
-        assert p == thermo_2d(FERMI, dom, N, T, z_max=1e12).P
-        assert p > N * T / dom.area
+        N = 17.5 * dom.area / thermal_wavelength(T) ** 2
+        state, _ = solve_fugacity(FERMI, dom, N, T)
+        assert 1e7 < state.z < FERMI_Z_MAX
+        return dom, state
+
+    def test_pressure_honours_the_solve_cap(self):
+        """A Fermi state solved just under the cap has a pressure, equal to
+        the thermo row's; a fugacity above the cap is refused."""
+        dom, state = self.near_cap_state()
+        p = pressure(FERMI, dom, state)
+        assert p == thermo_2d(FERMI, dom, state.N, state.T).P
+        assert p > state.N * state.T / dom.area
+        above = dataclasses.replace(state, z=2.0 * FERMI_Z_MAX)
         with pytest.raises(DomainError, match="configured cap"):
-            pressure(FERMI, dom, state)
+            pressure(FERMI, dom, above)
 
     def test_state_sums_honour_the_solve_cap(self):
-        """N and ln Xi can be re-evaluated at a Fermi state solved above the
-        default cap 1e8; the default still refuses."""
-        dom = make_domain(Disk(1.0))
-        T = 2.0 * math.pi / 0.01**2
-        N = 25.0 * dom.area / thermal_wavelength(T) ** 2
-        state, _ = solve_fugacity(FERMI, dom, N, T, z_max=1e12)
-        assert 1e10 < state.z < 1e12
-        got = particle_number(FERMI, dom, state.lam, state.z, z_max=1e12)
-        assert abs(got - N) <= 2e-12 * N
-        ln_xi = log_grand_potential(FERMI, dom, state.lam, state.z, z_max=1e12)
-        assert pressure(FERMI, dom, state, z_max=1e12) == state.T * ln_xi / dom.area
+        """N and ln Xi can be re-evaluated at a Fermi state solved just under
+        the cap; a fugacity above the cap is refused."""
+        dom, state = self.near_cap_state()
+        got = particle_number(FERMI, dom, state.lam, state.z)
+        assert abs(got - state.N) <= 2e-12 * state.N
+        ln_xi = log_grand_potential(FERMI, dom, state.lam, state.z)
+        assert pressure(FERMI, dom, state) == state.T * ln_xi / dom.area
         for f in (particle_number, log_grand_potential):
             with pytest.raises(DomainError, match="configured cap"):
-                f(FERMI, dom, state.lam, state.z)
+                f(FERMI, dom, state.lam, 2.0 * FERMI_Z_MAX)
 
 
 class TestSolveCost:
@@ -392,8 +403,8 @@ class TestSolveCost:
         weighted_terms = eos._weighted_terms
         budgets = []
 
-        def uncertain_slope(stat, weights, shift, offset, z, z_max, abs_budget=None):
-            terms, error = weighted_terms(stat, weights, shift, offset, z, z_max, abs_budget)
+        def uncertain_slope(stat, weights, shift, offset, z, abs_budget=None):
+            terms, error = weighted_terms(stat, weights, shift, offset, z, abs_budget)
             if offset == -1:
                 budgets.append(abs_budget)
                 if len(budgets) == 1:

@@ -18,7 +18,6 @@ from confinedgas.errors import (
 from confinedgas.geometry import Annulus, Disk, Rectangle, make_domain, weyl_state_sum
 from confinedgas.spectral import (
     Spectrum,
-    ThetaQuery,
     annulus_spectrum,
     disk_spectrum,
     exact_thermo,
@@ -70,6 +69,15 @@ class TestRectangleSpectrum:
     def test_domain(self):
         with pytest.raises(DomainError):
             rectangle_spectrum(-1.0, 1.0, 10.0)
+
+    def test_non_finite_cutoff_refused(self):
+        """Every builder refuses an infinite or NaN cutoff with DomainError."""
+        for cutoff in (math.inf, math.nan, -math.inf, -1.0):
+            for build in (lambda c: rectangle_spectrum(1.0, 1.0, c),
+                          lambda c: disk_spectrum(1.0, c),
+                          lambda c: annulus_spectrum(1.0, 2.0, c)):
+                with pytest.raises(DomainError, match="cutoff"):
+                    build(cutoff)
 
 
 class TestDiskSpectrum:
@@ -204,7 +212,7 @@ def test_rectangle_matches_fraction_reference(a, b, square, states):
 class TestThetaSum:
     def test_unit_square_reference(self):
         spec = rectangle_spectrum(1.0, 1.0, 500.0)
-        value, bound = theta_sum(spec, ThetaQuery(0.1))
+        value, bound = theta_sum(spec, 0.1)
         assert bound < 1e-9
         assert value == pytest.approx(0.5799831778300211, abs=1e-12)
 
@@ -213,6 +221,12 @@ class TestThetaSum:
         ts = np.linspace(0.06, 0.5, 12)
         vals = [theta_sum(spec, float(t))[0] for t in ts]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    def test_time_must_be_positive_and_finite(self):
+        spec = rectangle_spectrum(1.0, 1.0, 100.0)
+        for t in (0.0, -0.1, math.inf, math.nan):
+            with pytest.raises(DomainError, match="heat-kernel time"):
+                theta_sum(spec, t)
 
     def test_truncation_refusal(self):
         spec = rectangle_spectrum(1.0, 1.0, 100.0)

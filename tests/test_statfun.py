@@ -24,11 +24,7 @@ from confinedgas.statfun import (
     Method,
     Order,
     StatKind,
-    bose_limit_at_unity,
     eval_h,
-    eval_h_closed_form,
-    eval_h_inversion,
-    eval_h_series,
     h_orders,
 )
 from conftest import de_quad_h, de_quad_h_lowered
@@ -75,62 +71,71 @@ class TestClosedForms:
         assert abs(fv.value - (-math.log(0.5))) < 1e-15
 
     def test_g0_f0_gm1(self):
-        assert abs(eval_h_closed_form(BOSE, 0, 0.5).value - 1.0) < 1e-15
-        assert abs(eval_h_closed_form(FERMI, 0, 0.5).value - 1.0 / 3.0) < 1e-15
-        assert abs(eval_h_closed_form(BOSE, -1, 0.5).value - 2.0) < 1e-15
+        for stat, sigma, want in ((BOSE, 0, 1.0), (FERMI, 0, 1.0 / 3.0), (BOSE, -1, 2.0)):
+            fv = eval_h(stat, sigma, 0.5)
+            assert fv.method is Method.CLOSED_FORM
+            assert abs(fv.value - want) < 1e-15
 
     def test_f1_is_log1p(self):
-        assert abs(eval_h(FERMI, 1, 1.0).value - math.log(2.0)) < 1e-15
-
-    def test_closed_form_rejects_other_orders(self):
-        with pytest.raises(DomainError):
-            eval_h_closed_form(BOSE, 1.5, 0.5)
+        fv = eval_h(FERMI, 1, 1.0)
+        assert fv.method is Method.CLOSED_FORM
+        assert abs(fv.value - math.log(2.0)) < 1e-15
 
     def test_closed_form_rejects_bose_unity(self):
-        with pytest.raises(DomainError):
-            eval_h_closed_form(BOSE, 1, 1.0)
+        with pytest.raises(DomainError, match="diverges"):
+            eval_h(BOSE, 1, 1.0)
 
 
 class TestSeries:
     def test_series_matches_closed_forms(self):
-        """Direct series vs exact closed forms, 200 z points, 1e-12 abs."""
+        """Direct series (outside its dispatch region, so through the private
+        route) vs exact closed forms, 200 z points, 1e-12 abs."""
         for stat in (BOSE, FERMI):
             for sigma in (ONE, ZERO, MINUS_ONE):
                 for z in np.linspace(0.005, 0.95, 200):
-                    got = eval_h_series(stat, sigma, float(z), tail_bound=1e-13)
-                    want = eval_h_closed_form(stat, sigma, float(z))
+                    got = statfun._series(stat, sigma, float(z), 1e-13)
+                    want = eval_h(stat, sigma, float(z))
+                    assert want.method is Method.CLOSED_FORM
                     assert abs(got.value - want.value) < 1e-12, (stat, sigma, z)
 
     def test_series_leading_term(self):
         z = 1e-9
-        fv = eval_h_series(BOSE, TWO, z)
+        fv = eval_h(BOSE, TWO, z)
+        assert fv.method is Method.SERIES
         assert abs(fv.value / z - 1.0) < 1e-8
 
     def test_fermi_series_vs_log(self):
-        got = eval_h_series(FERMI, ONE, 0.9)
+        got = statfun._series(FERMI, ONE, 0.9, 1e-12)
         assert abs(got.value - math.log(1.9)) < 1e-12
 
     def test_series_agrees_with_quadrature_near_switch(self):
-        s = eval_h_series(BOSE, THREE_HALVES, 0.99)
+        s = eval_h(BOSE, THREE_HALVES, 0.99)
+        assert s.method is Method.SERIES
         q = de_quad_h(BOSE, 1.5, 0.99)
         assert abs(s.value - q) < s.abs_error_bound + 1e-11
 
     def test_series_reports_terms_and_bound(self):
-        fv = eval_h_series(BOSE, HALF, 0.9, tail_bound=1e-12)
+        fv = eval_h(BOSE, HALF, 0.9)
+        assert fv.method is Method.SERIES
         assert fv.terms is not None and fv.terms > 10
         truth = mp_h(BOSE, 0.5, 0.9)
         assert abs(fv.value - truth) <= fv.abs_error_bound
 
     def test_term_cap_raises_accuracy_error(self):
-        with pytest.raises(AccuracyError) as err:
-            eval_h_series(BOSE, HALF, 1.0 - 1e-8, tail_bound=1e-12, term_cap=10**5)
+        """Order 1/2 at 1 - z = 1e-8 needs more than SERIES_TERM_CAP terms."""
+        cap = statfun.SERIES_TERM_CAP
+        with pytest.raises(AccuracyError, match=f"more than {cap} terms") as err:
+            eval_h(BOSE, HALF, 1.0 - 1e-8)
         assert err.value.achieved is not None
 
     def test_domain_checks(self):
+        """A series tail target must be positive; the series needs z < 1."""
+        for tail in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="tail target"):
+                h_orders(BOSE, 0.5, (ONE, HALF), tail_bounds=(1e-12, tail))
+        assert h_orders(BOSE, 0.5, (ONE,), tail_bounds=(-1.0,))[0].method is Method.CLOSED_FORM
         with pytest.raises(DomainError):
-            eval_h_series(BOSE, ONE, 1.0)
-        with pytest.raises(DomainError):
-            eval_h_series(BOSE, ONE, 0.5, tail_bound=-1.0)
+            eval_h(BOSE, HALF, 1.0)
 
 
 class TestQuadratureAndRecurrence:
@@ -151,20 +156,12 @@ class TestQuadratureAndRecurrence:
         assert abs(got.value - oracle) < 1e-11
         assert abs(got.value - 1.2813803831597696) < 1e-12
 
-    def test_inversion_rejects_bose_and_closed_form_orders(self):
-        with pytest.raises(DomainError):
-            eval_h_inversion(BOSE, THREE_HALVES, 0.5)
-        for sigma in (ONE, ZERO, MINUS_ONE):
-            with pytest.raises(DomainError):
-                eval_h_inversion(FERMI, sigma, 2.0)
-        for z in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                eval_h_inversion(FERMI, HALF, z)
-
     def test_recurrence_matches_series_below_switch(self):
-        """Order -1/2, formerly the order-recurrence route, just below the switch."""
-        s = eval_h_series(FERMI, MINUS_HALF, 0.98)
-        r = eval_h_inversion(FERMI, MINUS_HALF, 0.98)
+        """Order -1/2, formerly the order-recurrence route, just below the
+        switch: the inversion runs outside its dispatch region."""
+        s = eval_h(FERMI, MINUS_HALF, 0.98)
+        assert s.method is Method.SERIES
+        r = statfun._inversion(MINUS_HALF, 0.98)
         assert abs(s.value - r.value) <= s.abs_error_bound + r.abs_error_bound
 
     def test_recurrence_matches_lowered_oracle(self):
@@ -194,25 +191,32 @@ class TestQuadratureAndRecurrence:
             assert b == Fraction(*(int(v) for v in mp.bernfrac(2 * j))), j
 
     def test_large_z_cap(self):
-        with pytest.raises(DomainError):
-            eval_h(FERMI, THREE_HALVES, 2e8)
-        assert eval_h(FERMI, THREE_HALVES, 2e8, z_max=1e9).value > 0
+        """The fixed Fermi cap FERMI_Z_MAX = 1e8 is admissible; above it is not."""
+        assert statfun.FERMI_Z_MAX == 1e8
+        fv = eval_h(FERMI, THREE_HALVES, statfun.FERMI_Z_MAX)
+        assert fv.method is Method.INVERSION and fv.value > 0
+        with pytest.raises(DomainError, match="configured cap"):
+            eval_h(FERMI, THREE_HALVES, math.nextafter(statfun.FERMI_Z_MAX, math.inf))
 
 
 class TestBoseLimitAtUnity:
     def test_zeta_values(self):
-        assert abs(bose_limit_at_unity(TWO).value - 1.6449340668) < 1e-9
-        assert abs(bose_limit_at_unity(THREE_HALVES).value - 2.6123753487) < 1e-9
-        assert abs(bose_limit_at_unity(FIVE_HALVES).value - ZETA_52) < 1e-12
+        for sigma, want, tol in ((TWO, 1.6449340668, 1e-9),
+                                 (THREE_HALVES, 2.6123753487, 1e-9),
+                                 (FIVE_HALVES, ZETA_52, 1e-12)):
+            fv = eval_h(BOSE, sigma, 1.0)
+            assert fv.method is Method.CLOSED_FORM
+            assert abs(fv.value - want) < tol
 
     def test_divergent_orders(self):
         for sigma in (ONE, HALF, ZERO, MINUS_HALF, MINUS_ONE):
-            with pytest.raises(DomainError):
-                bose_limit_at_unity(sigma)
+            with pytest.raises(DomainError, match="diverges"):
+                eval_h(BOSE, sigma, 1.0)
 
     def test_series_consistency_near_unity(self):
         # g_3/2(0.9999) frozen from a 40-digit polylog evaluation.
-        got = eval_h_series(BOSE, THREE_HALVES, 0.9999, tail_bound=1e-12)
+        got = eval_h(BOSE, THREE_HALVES, 0.9999)
+        assert got.method is Method.SERIES
         assert abs(got.value - 2.5770714271060549) < 1e-10
         # The square-root cusp extrapolates to zeta(3/2) at z -> 1.
         alpha = -math.log1p(-1e-4)
@@ -231,20 +235,26 @@ class TestDispatcherDomain:
             eval_h(BOSE, 2, 1.5)
 
     def test_nonpositive_z(self):
-        for z in (0.0, -1.0, math.nan):
-            with pytest.raises(DomainError):
-                eval_h(BOSE, 2, z)
+        for stat in (BOSE, FERMI):
+            for z in (0.0, -1.0, math.inf, math.nan):
+                for sigma in (2, 0.5):
+                    with pytest.raises(DomainError):
+                        eval_h(stat, sigma, z)
 
 
 def _route(stat, sigma, z, tail=1e-12):
-    """h_sigma(z) from the single-route function that owns (stat, sigma, z)."""
+    """h_sigma(z) from the private route that owns (stat, sigma, z), each
+    order on its own (no shared Jonquiere roots)."""
     if stat is BOSE and z == 1.0:
-        return bose_limit_at_unity(sigma)
+        if sigma.value <= 1.0:
+            raise DomainError("g_sigma(1) diverges for sigma <= 1")
+        value = statfun._ZETA[sigma.twice]
+        return statfun.FunctionValue(value, 4.0 * statfun._EPS * value, Method.CLOSED_FORM)
     if sigma in (ONE, ZERO, MINUS_ONE):
-        return eval_h_closed_form(stat, sigma, z)
+        return statfun._closed_form(stat is BOSE, sigma.twice, z)
     if stat is BOSE or z <= statfun.METHOD_SWITCH_Z:
-        return eval_h_series(stat, sigma, z, tail_bound=tail)
-    return eval_h_inversion(stat, sigma, z)
+        return statfun._series(stat, sigma, z, tail)
+    return statfun._inversion(sigma, z)
 
 
 def _bits(fv):
@@ -309,7 +319,8 @@ class TestBatchedOrders:
 
     def test_bose_unity(self):
         high = (THREE_HALVES, TWO, FIVE_HALVES)
-        assert _batched(BOSE, 1.0, high) == tuple(_bits(bose_limit_at_unity(s)) for s in high)
+        assert _batched(BOSE, 1.0, high) == tuple(_bits(_route(BOSE, s, 1.0)) for s in high)
+        assert [fv.value for fv in h_orders(BOSE, 1.0, high)] == [ZETA_32, ZETA_2, ZETA_52]
         for sigma in (ONE, HALF, ZERO, MINUS_HALF, MINUS_ONE):
             assert _batched(BOSE, 1.0, (TWO, sigma)) == (DomainError, None)
 
@@ -329,7 +340,7 @@ class TestBatchedOrders:
         for stat, z in ((BOSE, 1.5), (FERMI, 2e8), (FERMI, 0.0), (BOSE, math.nan)):
             with pytest.raises(DomainError):
                 h_orders(stat, z, ())
-        assert h_orders(FERMI, 2e8, (HALF,), z_max=1e9) == (eval_h_inversion(FERMI, HALF, 2e8),)
+        assert h_orders(FERMI, 1e8, (HALF,)) == (_route(FERMI, HALF, 1e8),)
 
 
 class TestInvariants:
@@ -367,11 +378,13 @@ class TestInvariants:
                         stat, sigma, z)
 
     def test_method_cross_agreement(self):
-        """Any two admissible methods agree within their combined bounds."""
+        """Any two admissible methods agree within their combined bounds;
+        below the switch the inversion is called as a private route."""
         for z in (0.3, 0.9, 0.98, 0.99):
             for sigma in (MINUS_HALF, HALF, THREE_HALVES, TWO, FIVE_HALVES):
-                s = eval_h_series(FERMI, sigma, z)
-                q = eval_h_inversion(FERMI, sigma, z)
+                s = eval_h(FERMI, sigma, z)
+                assert s.method is Method.SERIES
+                q = statfun._inversion(sigma, z)
                 assert abs(s.value - q.value) <= s.abs_error_bound + q.abs_error_bound
 
     def test_against_mpmath_sweep(self):
