@@ -5,8 +5,9 @@ density of states of 2-D domains and 3-D tubes, the resulting equations of
 state and thermodynamic quantities, and an exact Dirichlet-spectrum oracle
 used to verify every asymptotic formula.
 
-The oracle (``confinedgas.spectral``) is not re-exported here: it needs
-scipy, and importing the package or any other module does not load it.
+The oracle (``confinedgas.spectral``) and its checks (``confinedgas.certify``)
+are not re-exported here: they need scipy, and importing the package or any
+other module does not load them.
 """
 
 from .errors import (

@@ -1,4 +1,4 @@
-"""Command-line front end: reproducible tables and verification reports.
+"""Command-line front end: argument parsing, exit codes and CSV/JSONL output.
 
 Commands
 --------
@@ -6,7 +6,7 @@ specfun   evaluate the Bose/Fermi integral family h_sigma(z)
 solve     solve the fugacity for a shape, N and T
 table     thermodynamic quantities over a temperature grid
 oracle    export an exact Dirichlet spectrum as CSV
-verify    run the oracle-backed verification suites
+verify    run the oracle checks of ``confinedgas.certify``
 
 Every command is deterministic for identical flags.  Numeric output uses
 17 significant digits so that parse(print(x)) == x.  Exit codes: 0 success,
@@ -33,22 +33,9 @@ from .errors import (
     ConvergenceError,
     DomainError,
     GeometryError,
-    ModelError,
-    NoBracketError,
-    NonMonotoneError,
-    ResourceError,
-    SingularityError,
     TruncationError,
 )
-from .geometry import (
-    Annulus,
-    Disk,
-    Rectangle,
-    TubeDomain,
-    make_domain,
-    parse_shape,
-    thermal_wavelength,
-)
+from .geometry import Annulus, Disk, Rectangle, TubeDomain, make_domain, parse_shape
 from .statfun import Order, StatKind, eval_h
 
 EXIT_OK = 0
@@ -56,15 +43,9 @@ EXIT_WARNED = 2
 EXIT_INVALID = 3
 EXIT_ACCURACY = 4
 
-_INVALID_ERRORS = (
-    DomainError,
-    GeometryError,
-    ModelError,
-    NoBracketError,
-    NonMonotoneError,
-    SingularityError,
-    ResourceError,
-)
+#: Largest point count a lo:hi:n grid may ask for.
+MAX_GRID_POINTS = 10**6
+
 _ACCURACY_ERRORS = (AccuracyError, TruncationError, ConvergenceError)
 
 
@@ -130,8 +111,13 @@ def _parse_grid(text: str) -> list[float]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"grid {text!r}: expected lo:hi:n ({exc})") from exc
+    # A finite span needs finite endpoints and keeps linspace's step finite.
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"grid {text!r}: endpoints and their span must be finite")
     if n < 1:
         raise DomainError(f"grid {text!r}: need n >= 1")
+    if n > MAX_GRID_POINTS:
+        raise DomainError(f"grid {text!r}: at most {MAX_GRID_POINTS} points")
     if n == 1:
         return [lo]
     return list(np.linspace(lo, hi, n))
@@ -356,131 +342,6 @@ def cmd_oracle(shape, cutoff, out):
 # verify
 # ---------------------------------------------------------------------------
 
-def _verify_heatkernel(t_list: list[float]) -> list[dict]:
-    from . import spectral
-
-    rows = []
-    # Disk: smooth boundary, constant term +1/6.
-    disk = spectral.disk_spectrum(1.0, max(46.0 / min(t_list), 80.0))
-    area, perim = math.pi, 2.0 * math.pi
-    residuals = []
-    for t in t_list:
-        theta, trunc = spectral.theta_sum(disk, t)
-        weyl = area / (2 * math.pi * t) - perim / (4 * math.sqrt(2 * math.pi * t)) + 1 / 6
-        resid = theta - weyl
-        residuals.append(abs(resid))
-        rows.append({
-            "case": "disk-smooth-constant", "t": t, "measured": resid,
-            "tolerance": 0.03, "status": "pass" if abs(resid) <= 0.03 else "fail",
-        })
-    for i in range(1, len(residuals)):
-        ratio = residuals[i] / residuals[i - 1]
-        ok = 0.5 <= ratio <= 0.9 and residuals[i] < residuals[i - 1]
-        rows.append({
-            "case": "disk-residual-trend", "t": t_list[i], "measured": ratio,
-            "tolerance": "[0.5,0.9]", "status": "pass" if ok else "fail",
-        })
-    # Annulus: the hole cancels the constant term.
-    ann = spectral.annulus_spectrum(1.0, 2.0, 320.0)
-    theta, _ = spectral.theta_sum(ann, 0.05)
-    area_a, perim_a = 3.0 * math.pi, 6.0 * math.pi
-    weyl_a = area_a / (2 * math.pi * 0.05) - perim_a / (4 * math.sqrt(2 * math.pi * 0.05))
-    resid_a = theta - weyl_a
-    rows.append({
-        "case": "annulus-connectivity", "t": 0.05, "measured": resid_a,
-        "tolerance": 0.05, "status": "pass" if abs(resid_a) <= 0.05 else "fail",
-    })
-    # Unit square: corners shift the constant to 1/4 (informational).
-    sq = spectral.rectangle_spectrum(1.0, 1.0, 500.0)
-    theta_sq, _ = spectral.theta_sum(sq, 0.1)
-    corner = theta_sq - (1 / (2 * math.pi * 0.1) - 1 / math.sqrt(2 * math.pi * 0.1))
-    rows.append({
-        "case": "square-corner-constant", "t": 0.1, "measured": corner,
-        "tolerance": "0.250+-0.005 (informational: corners, not smooth)",
-        "status": "info",
-    })
-    return rows
-
-
-def _verify_thermo() -> list[dict]:
-    from .statfun import ONE, THREE_HALVES
-
-    rows = []
-    rng = np.random.default_rng(20240817)
-    shapes = [Rectangle(1.0, 1.0), Rectangle(4.0, 1.0), Disk(1.0), Annulus(1.0, 2.0)]
-    worst_sigma = worst_identity = 0.0
-    for _ in range(25):
-        kind = StatKind.BOSE if rng.random() < 0.5 else StatKind.FERMI
-        dom = make_domain(shapes[rng.integers(len(shapes))])
-        T = float(rng.uniform(400.0, 4000.0))
-        lam = thermal_wavelength(T)
-        N = float(rng.uniform(0.05, 1.5)) * dom.area / lam**2
-        rep = thermo.thermo_2d(kind, dom, N, T)
-        ident = dom.area * eval_h(kind, ONE, rep.state.z).value / (N * lam**2)
-        worst_sigma = max(worst_sigma, abs(rep.aux.sigma2 - ident) / ident)
-        worst_identity = max(worst_identity,
-                             abs(rep.S - (rep.U - rep.F) / rep.state.T)
-                             / max(abs(rep.S), 1e-30))
-    rows.append({"case": "sigma2-identity", "t": "", "measured": worst_sigma,
-                 "tolerance": 1e-8, "status": "pass" if worst_sigma < 1e-8 else "fail"})
-    rows.append({"case": "S-identity-2d", "t": "", "measured": worst_identity,
-                 "tolerance": 1e-12,
-                 "status": "pass" if worst_identity < 1e-12 else "fail"})
-
-    tube = TubeDomain(make_domain(Disk(1.0)), 500.0)
-    worst_sigma3 = worst_identity3 = 0.0
-    for _ in range(15):
-        kind = StatKind.BOSE if rng.random() < 0.5 else StatKind.FERMI
-        T = float(rng.uniform(50.0, 500.0))
-        lam = thermal_wavelength(T)
-        N = float(rng.uniform(0.05, 1.0)) * tube.length_z * math.pi / lam**3
-        rep = thermo.thermo_3d(kind, tube, N, T)
-        ident = (tube.length_z * tube.cross_section.area
-                 * eval_h(kind, THREE_HALVES, rep.state.z).value / (N * lam**3))
-        worst_sigma3 = max(worst_sigma3, abs(rep.aux.sigma3 - ident) / ident)
-        worst_identity3 = max(worst_identity3,
-                              abs(rep.S - (rep.U - rep.F) / rep.state.T)
-                              / max(abs(rep.S), 1e-30))
-    rows.append({"case": "sigma3-identity", "t": "", "measured": worst_sigma3,
-                 "tolerance": 1e-8, "status": "pass" if worst_sigma3 < 1e-8 else "fail"})
-    rows.append({"case": "S-identity-3d", "t": "", "measured": worst_identity3,
-                 "tolerance": 1e-12,
-                 "status": "pass" if worst_identity3 < 1e-12 else "fail"})
-
-    # dz/dT and C_V against centred finite differences (Richardson steps
-    # 1e-4 and 1e-5 relative).
-    dom = make_domain(Rectangle(2.0, 1.0))
-    kind, N, T = StatKind.FERMI, 80.0, 900.0
-    rep = thermo.thermo_2d(kind, dom, N, T)
-    analytic = thermo.dz_dT_2d(kind, rep.state, rep.aux)
-
-    def z_of_T(temp: float) -> float:
-        return eos.solve_fugacity(kind, dom, N, temp)[0].z
-
-    fd = _richardson(z_of_T, T)
-    rel = abs(analytic - fd) / abs(fd)
-    rows.append({"case": "dzdT-2d-fd", "t": "", "measured": rel, "tolerance": 1e-6,
-                 "status": "pass" if rel < 1e-6 else "fail"})
-
-    def u_of_T(temp: float) -> float:
-        return thermo.thermo_2d(kind, dom, N, temp).U
-
-    cv_fd = _richardson(u_of_T, T)
-    rel_cv = abs(rep.C_V - cv_fd) / abs(cv_fd)
-    rows.append({"case": "CV-2d-fd", "t": "", "measured": rel_cv, "tolerance": 1e-4,
-                 "status": "pass" if rel_cv < 1e-4 else "fail"})
-    return rows
-
-
-def _richardson(fn, x: float) -> float:
-    """Centred difference with steps 1e-4 x and 1e-5 x, Richardson combined."""
-    d = []
-    for rel in (1e-4, 1e-5):
-        h = rel * x
-        d.append((fn(x + h) - fn(x - h)) / (2.0 * h))
-    return (100.0 * d[1] - d[0]) / 99.0
-
-
 @main.command("verify")
 @click.option("--suite", type=click.Choice(["heatkernel", "thermo", "all"]),
               default="all", show_default=True)
@@ -492,19 +353,20 @@ def cmd_verify(suite, t_list_text, report_path):
 
     Columns: case, t, measured, tolerance, status (pass/fail/info).
     """
+    from . import certify
+
     try:
         t_list = _parse_t_list(t_list_text)
         rows: list[dict] = []
         if suite in ("heatkernel", "all"):
-            rows.extend(_verify_heatkernel(t_list))
+            rows.extend(certify.heatkernel(t_list))
         if suite in ("thermo", "all"):
-            rows.extend(_verify_thermo())
+            rows.extend(certify.thermo_identities())
     except ConfinedGasError as exc:
         _fail(exc)
-    columns = ["case", "t", "measured", "tolerance", "status"]
-    _emit(rows, columns, "csv", None)
+    _emit(rows, certify.COLUMNS, "csv", None)
     if report_path:
-        _emit(rows, columns, "csv", report_path)
+        _emit(rows, certify.COLUMNS, "csv", report_path)
     if any(r["status"] == "fail" for r in rows):
         sys.exit(EXIT_ACCURACY)
 

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 
+#: perimeter^2 >= 4 pi area, with 1e-12 relative slack, as a bound on
+#: perimeter/sqrt(area): neither side of that comparison can overflow.
+_ISOPERIMETRIC_RATIO = math.sqrt(4.0 * math.pi * (1.0 - 1e-12))
+
+
 class AspectRatioWarning(UserWarning):
     """Tube is long enough to be usable but shorter than comfortable."""
 
@@ -72,10 +77,10 @@ class PlanarDomain:
                     "perimeter == 0 encodes the free-space reference and "
                     "requires holes == 1"
                 )
-        elif self.perimeter**2 < 4.0 * math.pi * self.area * (1.0 - 1e-12):
+        elif self.perimeter / math.sqrt(self.area) < _ISOPERIMETRIC_RATIO:
             raise GeometryError(
-                f"isoperimetric inequality violated: perimeter^2 = "
-                f"{self.perimeter**2:.6g} < 4*pi*area = {4*math.pi*self.area:.6g}"
+                f"isoperimetric inequality violated: perimeter/sqrt(area) = "
+                f"{self.perimeter / math.sqrt(self.area):.6g} < sqrt(4*pi)"
             )
 
 

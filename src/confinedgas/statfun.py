@@ -129,11 +129,13 @@ class Order:
 
     @classmethod
     def of(cls, sigma) -> "Order":
-        """Coerce an Order, int, float or Fraction to an Order."""
+        """Coerce an Order, int, float or Fraction; 2*sigma must be an exact integer."""
         if isinstance(sigma, cls):
             return sigma
-        frac = Fraction(sigma).limit_denominator(10**6)
-        twice = frac * 2
+        try:
+            twice = Fraction(sigma) * 2
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"order sigma={sigma} is not a finite number") from exc
         if twice.denominator != 1:
             raise DomainError(f"order sigma={sigma} is not a half-integer")
         return cls(int(twice))

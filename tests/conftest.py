@@ -13,6 +13,7 @@ import numpy as np
 # a derandomized property draws other examples once another test file has
 # imported more of the package.  Loading every module up front makes the
 # draws the same whichever tests run, and in whichever order.
+import confinedgas.certify  # noqa: F401
 import confinedgas.cli  # noqa: F401
 import confinedgas.spectral  # noqa: F401
 from confinedgas.statfun import StatKind

@@ -105,6 +105,13 @@ class TestMalformedInput:
               "--warn-wavelength", "nan"), "DomainError"),
             (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
               "--warn-boundary", "nan"), "DomainError"),
+            (("specfun", "--stat", "bose", "--order", "1.4999999", "--z", "0.5"),
+             "DomainError"),
+            (("table", "--stat", "bose", "--shape", "disk:1", "--N", "5",
+              "--T-grid", "1:inf:3"), "DomainError"),
+            (("specfun", "--stat", "fermi", "--order", "1/2",
+              "--z-grid", "1:1e8:100000000000"), "DomainError"),
+            (("oracle", "--shape", "rect:1e300,1", "--cutoff", "10"), "ResourceError"),
         ]
         for args, error in cases:
             result = run(*args)
@@ -281,6 +288,29 @@ class TestVerify:
         assert "square-corner-constant" in cases
         assert "sigma2-identity" in cases
         assert report.read_text() == result.output
+
+    def test_all_suite_rows_are_pinned(self):
+        result = run("verify", "--suite", "all")
+        assert result.exit_code == 0, result.output
+        got = [(r["case"], r["t"], r["tolerance"], r["status"])
+               for r in parse_csv(result.output)]
+        t1, t05, t025 = "0.10000000000000001", "0.050000000000000003", "0.025000000000000001"
+        assert got == [
+            ("disk-smooth-constant", t1, "0.029999999999999999", "pass"),
+            ("disk-smooth-constant", t05, "0.029999999999999999", "pass"),
+            ("disk-smooth-constant", t025, "0.029999999999999999", "pass"),
+            ("disk-residual-trend", t05, "[0.5,0.9]", "pass"),
+            ("disk-residual-trend", t025, "[0.5,0.9]", "pass"),
+            ("annulus-connectivity", t05, "0.050000000000000003", "pass"),
+            ("square-corner-constant", t1,
+             "0.250+-0.005 (informational: corners, not smooth)", "info"),
+            ("sigma2-identity", "", "1e-08", "pass"),
+            ("S-identity-2d", "", "9.9999999999999998e-13", "pass"),
+            ("sigma3-identity", "", "1e-08", "pass"),
+            ("S-identity-3d", "", "9.9999999999999998e-13", "pass"),
+            ("dzdT-2d-fd", "", "9.9999999999999995e-07", "pass"),
+            ("CV-2d-fd", "", "0.0001", "pass"),
+        ]
 
     def test_heatkernel_suite_alone(self):
         result = run("verify", "--suite", "heatkernel", "--t-list", "0.1,0.05")

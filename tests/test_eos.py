@@ -482,21 +482,24 @@ def test_solve_fugacity_meets_residual_or_refuses(stat, shape, tube, aspect, log
 
 def test_scipy_stays_off_the_import_path():
     """Only the spectral oracle loads scipy; the rest of the package and the
-    CLI start without it."""
+    CLI start without it, and the CLI loads the verify checks only to run
+    them."""
     probe = (
         "import sys, importlib\n"
         "for name in sys.argv[1:]:\n"
         "    importlib.import_module(name)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] == 'scipy' or m == 'confinedgas.certify'))\n"
     )
     src = str(Path(eos.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
-    def loaded_scipy(*modules):
+    def loaded_lazy(*modules):
         return subprocess.run([sys.executable, "-c", probe, *modules], env=env, check=True,
                               capture_output=True, text=True).stdout.strip()
 
-    assert loaded_scipy("confinedgas.cli") == "[]"
-    assert loaded_scipy("confinedgas.geometry", "confinedgas.thermo") == "[]"
-    assert "scipy.special" in loaded_scipy("confinedgas.spectral")
+    assert loaded_lazy("confinedgas.cli") == "[]"
+    assert loaded_lazy("confinedgas.geometry", "confinedgas.thermo") == "[]"
+    assert "scipy.special" in loaded_lazy("confinedgas.spectral")
+    assert "confinedgas.certify" in loaded_lazy("confinedgas.certify")

@@ -139,6 +139,14 @@ class TestPlanarDomainInvariants:
         with pytest.raises(GeometryError):
             PlanarDomain(area=100.0, perimeter=1.0, holes=0)
 
+    def test_isoperimetric_check_at_huge_scale(self):
+        # perimeter**2 would overflow past ~1.3e154.
+        dom = make_domain(Rectangle(1e300, 1.0))
+        assert (dom.area, dom.perimeter) == (1e300, 2.0 * (1e300 + 1.0))
+        PlanarDomain(area=1e308, perimeter=4e154, holes=0)
+        with pytest.raises(GeometryError):
+            PlanarDomain(area=1e308, perimeter=3e154, holes=0)
+
     def test_negative_fields(self):
         with pytest.raises(GeometryError):
             PlanarDomain(area=-1.0, perimeter=4.0, holes=0)

@@ -58,6 +58,13 @@ class TestOrder:
         with pytest.raises(DomainError):
             Order(7)
 
+    def test_near_half_integers_and_non_finite_refused(self):
+        for sigma in (1.4999999, 1.5000001, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                Order.of(sigma)
+            with pytest.raises(DomainError):
+                eval_h(StatKind.BOSE, sigma, 0.5)
+
     def test_lowered(self):
         assert THREE_HALVES.lowered() == HALF
         with pytest.raises(DomainError):
