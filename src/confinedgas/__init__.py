@@ -34,7 +34,6 @@ from .statfun import (
 )
 from .geometry import (
     Annulus,
-    AspectRatioWarning,
     Disk,
     FreePlane,
     PlanarDomain,

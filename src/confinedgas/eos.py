@@ -27,7 +27,7 @@ from 1/8 doubling to ln 4 for Fermi), polishes it with ``bracketed_root``
 (regula falsi with the Anderson-Bjorck step), checks the branch with one
 z dN/dz sum whose certified error settles its sign, and reports how
 trustworthy the asymptotic model is at the solution
-(wavelength/boundary/topology ratios, Fermi z > 1 flag).
+(wavelength/boundary/topology ratios, tube aspect, Fermi z > 1 flag).
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ __all__ = [
     "BOSE_CONDENSATION_MARGIN",
     "WARN_WAVELENGTH_RATIO",
     "WARN_BOUNDARY_RATIO",
+    "WARN_ASPECT_RATIO",
     "log_grand_potential",
     "particle_number",
     "bracketed_root",
@@ -65,6 +66,9 @@ BOSE_CONDENSATION_MARGIN = 1e-12
 #: Default validity thresholds (tunable per call and from the CLI).
 WARN_WAVELENGTH_RATIO = 0.2
 WARN_BOUNDARY_RATIO = 0.5
+
+#: Tubes shorter than this many sqrt(area) are flagged (fixed, not tunable).
+WARN_ASPECT_RATIO = 100.0
 
 _EPS = math.ulp(1.0)
 
@@ -109,18 +113,20 @@ def _model(container: PlanarDomain | TubeDomain, lam: float):
     the cross-section area.
 
     A tube is its cross-section with every weight times Lz/lam and every
-    order half a step up.
+    order half a step up.  A weight that overflows is refused.
     """
-    if isinstance(container, TubeDomain):
-        weights, shift, area = _model(container.cross_section, lam)
+    tube = isinstance(container, TubeDomain)
+    dom = container.cross_section if tube else container
+    weights = (dom.area / lam**2, -0.25 * dom.perimeter / lam, (1.0 - dom.holes) / 6.0)
+    if tube:
         axial = container.length_z / lam
-        return tuple(axial * w for w in weights), shift + 1, area
-    weights = (
-        container.area / lam**2,
-        -0.25 * container.perimeter / lam,
-        (1.0 - container.holes) / 6.0,
-    )
-    return weights, 0, container.area
+        weights = tuple(axial * w for w in weights)
+    if not all(map(math.isfinite, weights)):
+        raise ModelError(
+            f"Weyl weights {weights} at lambda={lam:.6g} are not finite; the "
+            "container is too large for double precision"
+        )
+    return weights, int(tube), dom.area
 
 
 #: The orders of the three terms of a state sum, by twice the shift and the
@@ -335,7 +341,20 @@ def solve_fugacity(
     last = [None, ()]
 
     def residual(z: float) -> float:
-        terms, _ = n_terms(z)
+        # Approaching the Bose condensation point the series length needed to
+        # certify h_sigma blows up; a state that close to z = 1 is refused as
+        # near-condensation rather than extrapolated.  The tails are fixed
+        # within a solve, so no polish point needs more terms than the walk.
+        try:
+            terms, _ = n_terms(z)
+        except AccuracyError as exc:
+            if bose and z > 0.99:
+                raise NoBracketError(
+                    f"z = {z:.12g} is too close to the Bose condensation point "
+                    "to certify the particle-number equation; near-condensation "
+                    "states are outside the model"
+                ) from exc
+            raise
         last[:] = z, terms
         return sum(terms) - N
 
@@ -359,29 +378,14 @@ def solve_fugacity(
     # still negative means the equation peaked below N, i.e.
     # near-condensation territory the model refuses.  For Fermi the steps in
     # ln z start at 1/8, since the seed is close, and double up to ln 4.
-    def residual_guarded(z: float) -> float:
-        # Approaching the Bose condensation point the series length needed to
-        # certify h_sigma blows up; a state that close to z = 1 is refused as
-        # near-condensation rather than extrapolated.
-        try:
-            return residual(z)
-        except AccuracyError as exc:
-            if bose and z > 0.99:
-                raise NoBracketError(
-                    f"z = {z:.12g} is too close to the Bose condensation point "
-                    "to certify the particle-number equation; near-condensation "
-                    "states are outside the model"
-                ) from exc
-            raise
-
     lo = hi = z0
-    f_lo = f_hi = f0 = residual_guarded(z0)
+    f_lo = f_hi = f0 = residual(z0)
     fermi_factors = itertools.chain(_FERMI_FACTORS, itertools.repeat(4.0))
     if f0 < 0.0:
         prev = f0
         while True:
             nxt = min(1.0 - (1.0 - lo) / 2.0 if bose else lo * next(fermi_factors), z_cap)
-            f_nxt = residual_guarded(nxt)
+            f_nxt = residual(nxt)
             if f_nxt >= 0.0:
                 hi, f_hi = nxt, f_nxt
                 break
@@ -409,7 +413,7 @@ def solve_fugacity(
                     f"residual never changes sign down to z = {nxt:.3g}; "
                     "no physical solution"
                 )
-            f_nxt = residual_guarded(nxt)
+            f_nxt = residual(nxt)
             if f_nxt <= 0.0:
                 lo, f_lo = nxt, f_nxt
                 break
@@ -466,6 +470,12 @@ def solve_fugacity(
             f"boundary: |boundary term|/|bulk term| = {ratio_boundary:.4g} exceeds "
             f"threshold {warn_boundary:.4g}"
         )
+    ratio_aspect = container.length_z / math.sqrt(area) if shift else math.inf
+    if ratio_aspect < WARN_ASPECT_RATIO:
+        messages.append(
+            f"aspect: length_z/sqrt(area) = {ratio_aspect:.4g} is below threshold "
+            f"{WARN_ASPECT_RATIO:.4g}; the axial continuum treatment is marginal"
+        )
     if fermi_ext:
         messages.append(
             f"fermi-extension: z = {z_star:.6g} > 1 relies on the heuristic "
@@ -492,8 +502,8 @@ def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasSta
     lam^(2 + shift).
     """
     weights, shift, _ = _model(container, state.lam)
-    orders = [o for w, o in zip(weights, _ORDERS[shift, 1]) if w != 0.0]
-    return _pressure(container, state, _h_table(stat, state.z, orders))
+    ln_xi = log_grand_potential(stat, container, state.lam, state.z)
+    return state.T * ln_xi / (weights[0] * state.lam ** (2 + shift))
 
 
 def _pressure(container, state: GasState, h) -> float:

@@ -10,13 +10,14 @@ domain is approximated for small lambda by
 
 The constant term assumes a smooth boundary; polygons carry an extra corner
 contribution (1/16 per right angle) that this module deliberately does NOT
-add -- the spectral oracle documents the discrepancy instead.
+add -- the spectral oracle documents the discrepancy instead.  This module
+refuses invalid containers; how far a valid one (a short tube, a large
+wavelength) sits inside the model is judged by the equation-of-state layer.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -32,7 +33,6 @@ __all__ = [
     "PolygonWithHoles",
     "FreePlane",
     "ShapeSpec",
-    "AspectRatioWarning",
     "free_plane",
     "make_domain",
     "thermal_wavelength",
@@ -45,10 +45,6 @@ __all__ = [
 #: perimeter^2 >= 4 pi area, with 1e-12 relative slack, as a bound on
 #: perimeter/sqrt(area): neither side of that comparison can overflow.
 _ISOPERIMETRIC_RATIO = math.sqrt(4.0 * math.pi * (1.0 - 1e-12))
-
-
-class AspectRatioWarning(UserWarning):
-    """Tube is long enough to be usable but shorter than comfortable."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,8 @@ class TubeDomain:
 
     The axial momentum is treated as continuous, which needs the tube to be
     long against the cross-section scale: length_z >= 10*sqrt(area) is
-    enforced, and below 100x a diagnostic AspectRatioWarning is emitted.
+    enforced here, and ``solve_fugacity`` flags a tube below 100x
+    (``eos.WARN_ASPECT_RATIO``) in its validity report.
     """
 
     cross_section: PlanarDomain
@@ -109,13 +106,6 @@ class TubeDomain:
             raise GeometryError(
                 f"length_z = {self.length_z:.6g} is below 10x the cross-section "
                 f"scale {scale:.6g}; the continuous-axial-momentum assumption fails"
-            )
-        if self.length_z < 100.0 * scale:
-            warnings.warn(
-                f"length_z = {self.length_z:.6g} is below 100x the cross-section "
-                f"scale {scale:.6g}; axial continuum treatment is marginal",
-                AspectRatioWarning,
-                stacklevel=2,
             )
 
 
@@ -238,6 +228,10 @@ def _segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     return False
 
 
+def _edges(ring: tuple[Point, ...]) -> list[tuple[Point, Point]]:
+    return [(ring[i], ring[(i + 1) % len(ring)]) for i in range(len(ring))]
+
+
 def _check_simple_ring(ring: tuple[Point, ...], label: str) -> None:
     n = len(ring)
     if n < 3:
@@ -247,7 +241,7 @@ def _check_simple_ring(ring: tuple[Point, ...], label: str) -> None:
             raise GeometryError(f"{label}: zero-length edge at vertex {i}")
     if _ring_area(ring) <= 0.0:
         raise GeometryError(f"{label}: degenerate ring with zero area")
-    edges = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    edges = _edges(ring)
     for i in range(n):
         for j in range(i + 1, n):
             # skip edges sharing a vertex (consecutive, incl. the wrap pair)
@@ -287,7 +281,9 @@ def make_domain(spec: ShapeSpec) -> PlanarDomain:
     Disk(R)              -> (pi R^2, 2 pi R, 0)
     Annulus(Ri, Ro)      -> (pi (Ro^2 - Ri^2), 2 pi (Ri + Ro), 1)
     PolygonWithHoles     -> (shoelace area minus hole areas, total ring
-                             length, number of holes)
+                             length, number of holes); each hole lies
+                             strictly inside the outer ring and neither
+                             meets nor nests in another ring
     """
     if isinstance(spec, Rectangle):
         return PlanarDomain(spec.a * spec.b, 2.0 * (spec.a + spec.b), 0)
@@ -310,6 +306,15 @@ def make_domain(spec: ShapeSpec) -> PlanarDomain:
             for pt in hole:
                 if not _point_in_ring(pt, spec.outer):
                     raise GeometryError(f"hole {k} is not strictly inside the outer ring")
+            # Vertices inside the outer ring do not keep an edge from leaving
+            # it, and holes must not cross, touch or nest in each other.
+            for j, other in enumerate((spec.outer,) + spec.holes[:k]):
+                label = f"hole {j - 1}" if j else "the outer ring"
+                if any(_segments_intersect(*e, *f) for e in _edges(hole) for f in _edges(other)):
+                    raise GeometryError(f"hole {k} crosses {label}")
+                if j and (any(_point_in_ring(pt, other) for pt in hole)
+                          or any(_point_in_ring(pt, hole) for pt in other)):
+                    raise GeometryError(f"hole {k} overlaps {label}")
             hole_area = _ring_area(hole)
             if hole_area >= area:
                 raise GeometryError(f"hole {k} is at least as large as the outer ring")

@@ -8,8 +8,11 @@ temperature and
     disk R          :  mu = j_(nu,k)^2 / (2 R^2), multiplicity 2 for nu >= 1
     annulus Ri, Ro  :  mu = k^2/2 with J_nu(k Ri) Y_nu(k Ro) = J_nu(k Ro) Y_nu(k Ri)
 
-Every spectrum is complete below its cutoff; completeness is certified by
-re-enumeration at half cutoff plus a Weyl-count consistency band.  The
+Each builder hands its shape and an enumeration of (level, multiplicity)
+pairs to one build path, which refuses non-finite cutoffs and counts above
+``STATE_CAP`` before enumerating, merges levels equal within 1e-12 and checks
+the count against a two-term Weyl band.  Every spectrum is complete below
+its cutoff; the test-suite re-enumerates at half cutoff to certify it.  The
 theta sum refuses to answer when its truncation bound exceeds 1e-6 of the
 value: the oracle must be unimpeachable, so it never extrapolates.
 """
@@ -68,71 +71,52 @@ class Spectrum:
         return int(self.multiplicity.sum())
 
 
-def _weyl_count(shape: ShapeSpec, mu: float) -> float:
-    """Two-term Weyl estimate of the number of states with eigenvalue <= mu."""
-    dom = make_domain(shape)
-    return (
-        dom.area * mu / (2.0 * math.pi)
-        - dom.perimeter * math.sqrt(2.0 * mu) / (4.0 * math.pi)
-        + (1.0 - dom.holes) / 6.0
-    )
-
-
-def _certify_count(shape: ShapeSpec, cutoff: float, count: int) -> None:
-    """Sanity band against the two-term Weyl count.
-
-    Only applied where the expansion is meaningful (bulk term at least 4x
-    the boundary term); near-threshold cutoffs of extreme geometries are
-    covered by the half-cutoff re-enumeration check in the test-suite
-    instead.
-    """
+def _build(shape: ShapeSpec, cutoff: float, levels) -> Spectrum:
+    """The one build path of every spectrum: ``levels()`` enumerates its
+    (level, multiplicity) pairs below the cutoff once the cutoff and the
+    STATE_CAP checks pass.  The Weyl band applies only where the bulk term
+    is at least 4x the boundary term; near-threshold cutoffs of extreme
+    geometries are covered by the test-suite's half-cutoff re-enumeration."""
+    if not math.isfinite(cutoff):
+        raise DomainError(f"spectrum cutoff must be finite, got {cutoff}")
     dom = make_domain(shape)
     bulk = dom.area * cutoff / (2.0 * math.pi)
     boundary = dom.perimeter * math.sqrt(2.0 * cutoff) / (4.0 * math.pi)
-    if bulk < 4.0 * boundary:
-        return
-    est = _weyl_count(shape, cutoff)
-    band = max(12.0, 3.0 * math.sqrt(max(est, 1.0)))
-    if abs(count - est) > band:
+    weyl = bulk - boundary + (1.0 - dom.holes) / 6.0
+    # A NaN count (both terms overflow) is refused too.
+    if not weyl <= STATE_CAP:
         raise ResourceError(
-            f"enumerated {count} states below mu={cutoff} but the Weyl "
-            f"estimate is {est:.1f} (band +-{band:.1f}); enumeration is "
-            "suspect"
+            f"{type(shape).__name__.lower()} spectrum below mu={cutoff} implies ~"
+            f"{weyl:.3g} states (cap {STATE_CAP})"
         )
-
-
-def _finalize(shape, entries, cutoff) -> Spectrum:
-    entries.sort(key=lambda e: e[0])
     # Distinct exact levels can collide once rounded to float; merge within
     # 1e-12 relative so multiplicities stay meaningful.
     merged: list[tuple[float, int]] = []
-    for m, g in entries:
+    for m, g in sorted(levels(), key=lambda e: e[0]):
         if merged and m <= merged[-1][0] * (1.0 + 1e-12):
             merged[-1] = (merged[-1][0], merged[-1][1] + g)
         else:
             merged.append((m, g))
-    mu = np.array([e[0] for e in merged], dtype=float)
-    mult = np.array([e[1] for e in merged], dtype=np.int64)
-    dom = make_domain(shape)
     spec = Spectrum(
-        mu=mu,
-        multiplicity=mult,
+        mu=np.array([e[0] for e in merged], dtype=float),
+        multiplicity=np.array([e[1] for e in merged], dtype=np.int64),
         cutoff=float(cutoff),
         shape=shape,
         tail_bound_coeff=_TAIL_SAFETY * dom.area / (2.0 * math.pi),
     )
-    _certify_count(shape, cutoff, spec.count)
+    band = max(12.0, 3.0 * math.sqrt(max(weyl, 1.0)))
+    if bulk >= 4.0 * boundary and abs(spec.count - weyl) > band:
+        raise ResourceError(
+            f"enumerated {spec.count} states below mu={cutoff} but the Weyl "
+            f"estimate is {weyl:.1f} (band +-{band:.1f}); enumeration is "
+            "suspect"
+        )
     return spec
 
 
 # ---------------------------------------------------------------------------
 # enumerations
 # ---------------------------------------------------------------------------
-
-def _require_finite(cutoff: float) -> None:
-    if not math.isfinite(cutoff):
-        raise DomainError(f"spectrum cutoff must be finite, got {cutoff}")
-
 
 def rectangle_spectrum(a: float, b: float, cutoff: float) -> Spectrum:
     """Exact rectangle spectrum below ``cutoff``.
@@ -145,68 +129,64 @@ def rectangle_spectrum(a: float, b: float, cutoff: float) -> Spectrum:
     """
     if not (a > 0.0 and b > 0.0 and cutoff > 0.0):
         raise DomainError("rectangle_spectrum needs a, b, cutoff > 0")
-    _require_finite(cutoff)
-    kappa = 2.0 * cutoff / math.pi**2  # n^2/a^2 + m^2/b^2 <= kappa
-    n_max = int(math.floor(a * math.sqrt(kappa))) + 1
-    m_max = int(math.floor(b * math.sqrt(kappa))) + 1
-    if _weyl_count(Rectangle(a, b), cutoff) > STATE_CAP:
-        raise ResourceError(
-            f"rectangle spectrum below mu={cutoff} implies ~"
-            f"{_weyl_count(Rectangle(a, b), cutoff):.3g} states (cap {STATE_CAP})"
-        )
-    (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
-    pk, qk = kappa.as_integer_ratio()
-    n_weight, m_weight = qa * qa * pb * pb, qb * qb * pa * pa
-    denom = pa * pa * pb * pb
-    # K/D <= pk/qk, i.e. K qk <= pk D, is K <= floor(pk D / qk) for integer K.
-    k_max = pk * denom // qk
 
-    levels: dict[int, int] = {}
-    for n in range(1, n_max + 1):
-        base = n * n * n_weight
-        if base > k_max:
-            break
-        # kappa - n^2/a^2, rounded once as the float of its exact value.
-        rest = (pk * denom - qk * base) / (qk * denom)
-        m_hi = min(m_max, int(math.floor(math.sqrt(rest * b * b))) + 2)
-        for m in range(1, m_hi + 1):
-            key = base + m * m * m_weight
-            if key > k_max:
+    def levels():
+        kappa = 2.0 * cutoff / math.pi**2  # n^2/a^2 + m^2/b^2 <= kappa
+        n_max = int(math.floor(a * math.sqrt(kappa))) + 1
+        m_max = int(math.floor(b * math.sqrt(kappa))) + 1
+        (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+        pk, qk = kappa.as_integer_ratio()
+        n_weight, m_weight = qa * qa * pb * pb, qb * qb * pa * pa
+        denom = pa * pa * pb * pb
+        # K/D <= pk/qk, i.e. K qk <= pk D, is K <= floor(pk D / qk) for integer K.
+        k_max = pk * denom // qk
+        keys: dict[int, int] = {}
+        for n in range(1, n_max + 1):
+            base = n * n * n_weight
+            if base > k_max:
                 break
-            levels[key] = levels.get(key, 0) + 1
-    entries = [((math.pi**2 / 2.0) * (k / denom), g) for k, g in levels.items()]
-    return _finalize(Rectangle(a, b), entries, cutoff)
+            # kappa - n^2/a^2, rounded once as the float of its exact value.
+            rest = (pk * denom - qk * base) / (qk * denom)
+            m_hi = min(m_max, int(math.floor(math.sqrt(rest * b * b))) + 2)
+            for m in range(1, m_hi + 1):
+                key = base + m * m * m_weight
+                if key > k_max:
+                    break
+                keys[key] = keys.get(key, 0) + 1
+        return [((math.pi**2 / 2.0) * (k / denom), g) for k, g in keys.items()]
+
+    return _build(Rectangle(a, b), cutoff, levels)
 
 
 def disk_spectrum(R: float, cutoff: float) -> Spectrum:
     """Exact disk spectrum below ``cutoff`` from the zeros of J_nu."""
     if not (R > 0.0 and cutoff > 0.0):
         raise DomainError("disk_spectrum needs R, cutoff > 0")
-    _require_finite(cutoff)
-    if _weyl_count(Disk(R), cutoff) > STATE_CAP:
-        raise ResourceError(f"disk spectrum below mu={cutoff} exceeds cap {STATE_CAP}")
-    jmax = R * math.sqrt(2.0 * cutoff)
-    entries = [(z * z / (2.0 * R * R), 1 if nu == 0 else 2)
-               for nu, zeros in enumerate(j_zeros(range(math.ceil(jmax)), jmax))
-               for z in zeros.tolist()]
-    return _finalize(Disk(R), entries, cutoff)
+
+    def levels():
+        jmax = R * math.sqrt(2.0 * cutoff)
+        return [(z * z / (2.0 * R * R), 1 if nu == 0 else 2)
+                for nu, zeros in enumerate(j_zeros(range(math.ceil(jmax)), jmax))
+                for z in zeros.tolist()]
+
+    return _build(Disk(R), cutoff, levels)
 
 
 def annulus_spectrum(r_inner: float, r_outer: float, cutoff: float) -> Spectrum:
     """Exact annulus spectrum below ``cutoff`` from cross-product zeros."""
     if not (0.0 < r_inner < r_outer) or cutoff <= 0.0:
         raise DomainError("annulus_spectrum needs 0 < Ri < Ro and cutoff > 0")
-    _require_finite(cutoff)
-    if _weyl_count(Annulus(r_inner, r_outer), cutoff) > STATE_CAP:
-        raise ResourceError(f"annulus spectrum below mu={cutoff} exceeds cap {STATE_CAP}")
-    kmax = math.sqrt(2.0 * cutoff)
-    # Scans start at 0.95 nu/r_outer, so no order from kmax r_outer/0.95 on
-    # has a zero.
-    orders = range(int(kmax * r_outer / 0.95) + 2)
-    entries = [(k * k / 2.0, 1 if nu == 0 else 2)
-               for nu, zeros in enumerate(cross_product_zeros(orders, r_inner, r_outer, kmax))
-               for k in zeros.tolist()]
-    return _finalize(Annulus(r_inner, r_outer), entries, cutoff)
+
+    def levels():
+        kmax = math.sqrt(2.0 * cutoff)
+        # Scans start at 0.95 nu/r_outer, so no order from kmax r_outer/0.95 on
+        # has a zero.
+        orders = range(int(kmax * r_outer / 0.95) + 2)
+        return [(k * k / 2.0, 1 if nu == 0 else 2)
+                for nu, zeros in enumerate(cross_product_zeros(orders, r_inner, r_outer, kmax))
+                for k in zeros.tolist()]
+
+    return _build(Annulus(r_inner, r_outer), cutoff, levels)
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +237,18 @@ def exact_thermo(stat: StatKind, spec: Spectrum, N: float, T: float
     mult = spec.multiplicity.astype(float)
     bose = stat is StatKind.BOSE
 
-    def fermi_occ(x: np.ndarray) -> np.ndarray:
+    def occupancy(x: np.ndarray) -> np.ndarray:
+        if bose:
+            # z < exp(beta mu_1) guarantees x > 0 here.
+            e = np.exp(-x)
+            return e / (1.0 - e)
         # 1/(e^x + 1) via s = 1/(e^|x| + 1), overflow-free for any x.
         s = np.exp(-np.abs(x))
         s = s / (1.0 + s)
         return np.where(x > 0.0, s, 1.0 - s)
 
     def occupancy_sum(u: float) -> float:
-        x = beta_mu - u
-        if bose:
-            # z < exp(beta mu_1) guarantees x > 0 here.
-            e = np.exp(-x)
-            occ = e / (1.0 - e)
-        else:
-            occ = fermi_occ(x)
-        return float(np.dot(mult, occ))
+        return float(np.dot(mult, occupancy(beta_mu - u)))
 
     # ln(sum/N) rather than sum - N: the log of the sum is close to linear in
     # u far below the ground state, so regula falsi converges from the wide
@@ -315,13 +292,10 @@ def exact_thermo(stat: StatKind, spec: Spectrum, N: float, T: float
 
     x = beta_mu - u_star
     if bose:
-        e = np.exp(-x)
-        ln_xi = -float(np.dot(mult, np.log1p(-e)))
-        occ = e / (1.0 - e)
+        ln_xi = -float(np.dot(mult, np.log1p(-np.exp(-x))))
     else:
         # ln(1 + e^-x) = log1p(e^-|x|) + max(-x, 0), overflow-free.
         softplus = np.log1p(np.exp(-np.abs(x))) + np.where(x < 0.0, -x, 0.0)
         ln_xi = float(np.dot(mult, softplus))
-        occ = fermi_occ(x)
-    U = float(np.dot(mult, spec.mu * occ))
+    U = float(np.dot(mult, spec.mu * occupancy(x)))
     return z, ln_xi, U

@@ -189,15 +189,28 @@ def _thermo_2d_from_state(dom, state: GasState, aux: Aux2D, h):
     return u * N * T, f * N * T, s * N, c_v * N
 
 
-def thermo_2d(stat: StatKind, dom: PlanarDomain, N: float, T: float) -> ThermoReport:
-    """Solve the state point and fill every 2-D closed form."""
-    state, validity = solve_fugacity(stat, dom, N, T)
-    h = _h_table(stat, state.z, _ROW_2D)
-    aux = _aux_2d(h, N, dom)
-    U, F, S, C_V = _thermo_2d_from_state(dom, state, aux, h)
-    P = _pressure(dom, state, h)
+def _row(stat, container, N, T, orders, aux_fn, forms_fn) -> ThermoReport:
+    """Solve the state point, read one h table at z* and fill the closed
+    forms.  Their powers of huge geometries (L**2, L**3, ...) can overflow;
+    that refuses the row like any other singular closed form."""
+    state, validity = solve_fugacity(stat, container, N, T)
+    h = _h_table(stat, state.z, orders)
+    try:
+        aux = aux_fn(h, N, container)
+        U, F, S, C_V = forms_fn(container, state, aux, h)
+    except OverflowError as exc:
+        raise SingularityError(
+            f"the closed forms overflow at z = {state.z:.6g}; the container is "
+            "too large for double precision"
+        ) from exc
+    P = _pressure(container, state, h)
     return ThermoReport(U=U, F=F, S=S, C_V=C_V, P=P, state=state, aux=aux,
                         validity=validity)
+
+
+def thermo_2d(stat: StatKind, dom: PlanarDomain, N: float, T: float) -> ThermoReport:
+    """Solve the state point and fill every 2-D closed form."""
+    return _row(stat, dom, N, T, _ROW_2D, _aux_2d, _thermo_2d_from_state)
 
 
 def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D) -> float:
@@ -338,13 +351,7 @@ def _thermo_3d_from_state(tube: TubeDomain, state: GasState, aux: Aux3D, h):
 
 def thermo_3d(stat: StatKind, tube: TubeDomain, N: float, T: float) -> ThermoReport:
     """Solve the tube state point and fill every 3-D closed form."""
-    state, validity = solve_fugacity(stat, tube, N, T)
-    h = _h_table(stat, state.z, _ROW_3D)
-    aux = _aux_3d(h, N, tube)
-    U, F, S, C_V = _thermo_3d_from_state(tube, state, aux, h)
-    P = _pressure(tube, state, h)
-    return ThermoReport(U=U, F=F, S=S, C_V=C_V, P=P, state=state, aux=aux,
-                        validity=validity)
+    return _row(stat, tube, N, T, _ROW_3D, _aux_3d, _thermo_3d_from_state)
 
 
 def dz_dT_3d(stat: StatKind, state: GasState, aux: Aux3D) -> float:

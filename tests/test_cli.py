@@ -21,6 +21,17 @@ def run(*args):
     return CliRunner().invoke(main, list(args))
 
 
+def run_process(*args, **env):
+    """Run the CLI in its own process (with extra environment variables)
+    under a timeout, so a command that never returns fails the test instead
+    of hanging the suite."""
+    src = str(Path(confinedgas.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "confinedgas.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, f"no rows in output: {text!r}"
@@ -164,34 +175,34 @@ class TestSolve:
         assert result.exit_code == 0
         assert 0.0 < float(parse_csv(result.output)[0]["z"])
 
+    @pytest.mark.parametrize("length_z, code", [("30", 2), ("500", 0)])
+    def test_tube_aspect_is_a_validity_warning(self, length_z, code):
+        """A tube below 100 sqrt(area) is flagged in the warnings column and
+        the exit code, never as a Python warning on stderr."""
+        result = run_process("solve", "--stat", "fermi", "--shape", "disk:1", "--N", "100",
+                             "--T", "50", "--Lz", length_z, PYTHONWARNINGS="error")
+        assert (result.returncode, result.stderr) == (code, "")
+        warnings = parse_csv(result.stdout)[0]["warnings"]
+        assert warnings.startswith("aspect:") if code else warnings == ""
+
 
 class TestSolverTerminates:
     """The bracket walk steps down from its high end: states whose seed lies
     far above the root (here lambda/sqrt(area) = 14, where the corrections
-    dwarf the bulk term) finish with a warned row instead of looping.  Each
-    command runs in its own process under a timeout, so a solver that never
-    returns fails the test instead of hanging the suite."""
-
-    @staticmethod
-    def run_cli(*args):
-        src = str(Path(confinedgas.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        return subprocess.run([sys.executable, "-m", "confinedgas.cli", *args], env=env,
-                              capture_output=True, text=True, timeout=60)
+    dwarf the bulk term) finish with a warned row instead of looping."""
 
     @pytest.mark.parametrize("stat", ["bose", "fermi"])
     def test_solve_far_above_the_root(self, stat):
-        result = self.run_cli("solve", "--stat", stat, "--shape", "disk:1",
-                              "--N", "0.001", "--T", "0.01")
+        result = run_process("solve", "--stat", stat, "--shape", "disk:1",
+                             "--N", "0.001", "--T", "0.01")
         assert result.returncode == 2
         row = parse_csv(result.stdout)[0]
         assert 0.009 < float(row["z"]) < 0.0095
         assert "wavelength" in row["warnings"] and "boundary" in row["warnings"]
 
     def test_table_far_above_the_root(self):
-        result = self.run_cli("table", "--stat", "fermi", "--shape", "disk:1",
-                              "--N", "0.001", "--T-grid", "0.01:0.01:1")
+        result = run_process("table", "--stat", "fermi", "--shape", "disk:1",
+                             "--N", "0.001", "--T-grid", "0.01:0.01:1")
         assert result.returncode == 2
         row = parse_csv(result.stdout)[0]
         assert row["status"] == "ok"
@@ -224,6 +235,27 @@ class TestTable:
         assert any(s.startswith("error:") for s in statuses)
         assert "ok" in statuses
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ("--shape", "rect:1e154,1", "--T-grid", "1:1000:3"),  # L**2 in sigma2
+        ("--shape", "rect:1e120,1", "--T-grid", "1:2:2", "--Lz", "1e63"),  # L**3 in xi2
+    ])
+    def test_closed_form_overflow_is_an_error_row(self, args):
+        """The rows past T = 1 solve and then overflow in their closed forms;
+        the T = 1 row fails to solve."""
+        result = run("table", "--stat", "fermi", "--N", "5", *args)
+        assert result.exit_code == 3, result.output
+        statuses = [row["status"] for row in parse_csv(result.output)]
+        assert statuses[0].startswith("error:")
+        assert set(statuses[1:]) == {"error:SingularityError"}
+
+    @pytest.mark.parametrize("shape, length_z", [
+        ("rect:1e300,1", "1e303"), ("rect:1e150,1", "1e160"), ("disk:1e150", "1e160")])
+    def test_overflowing_weights_are_model_errors(self, shape, length_z):
+        result = run("table", "--stat", "bose", "--shape", shape, "--N", "5",
+                     "--T-grid", "1:2:2", "--Lz", length_z)
+        assert result.exit_code == 3
+        assert {row["status"] for row in parse_csv(result.output)} == {"error:ModelError"}
 
     def test_classical_tail_of_3d_grid(self):
         result = run("table", "--stat", "bose", "--shape", "free:1",

@@ -1,6 +1,7 @@
 """Tests for grand potentials, particle-number equations and the solver."""
 
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -39,7 +40,7 @@ from confinedgas.geometry import (
     weyl_state_sum,
 )
 from confinedgas.statfun import FERMI_Z_MAX, StatKind, eval_h
-from confinedgas.thermo import thermo_2d
+from confinedgas.thermo import thermo_2d, thermo_3d
 
 BOSE, FERMI = StatKind.BOSE, StatKind.FERMI
 EPS = sys.float_info.epsilon
@@ -220,6 +221,22 @@ class TestSolveFugacity:
         with pytest.raises(NoBracketError):  # lam = 2.5e150: lam^3 is not finite
             solve_fugacity(FERMI, tube, N=1.0, T=1e-300)
 
+    def test_overflowing_weights_refused(self):
+        """A tube whose bulk weight Lz area/lam^3 overflows is a model
+        refusal, not a solver accuracy failure, in every state sum."""
+        lam = thermal_wavelength(1.0)
+        for shape, lz in ((Rectangle(1e300, 1.0), 1e303), (Rectangle(1e150, 1.0), 1e160),
+                          (Disk(1e150), 1e160)):
+            tube = TubeDomain(make_domain(shape), lz)
+            for stat in (BOSE, FERMI):
+                with pytest.raises(ModelError, match="not finite"):
+                    solve_fugacity(stat, tube, N=5.0, T=1.0)
+                for f in (particle_number, log_grand_potential):
+                    with pytest.raises(ModelError, match="not finite"):
+                        f(stat, tube, lam, 0.5)
+                with pytest.raises(ModelError, match="not finite"):
+                    pressure(stat, tube, GasState(z=0.5, lam=lam, T=1.0, N=5.0, stat=stat))
+
     def test_non_monotone_path_triggers(self, monkeypatch):
         """A decreasing particle-number equation must raise NonMonotoneError."""
         weighted_terms = eos._weighted_terms
@@ -313,6 +330,31 @@ class TestPressure:
         p = pressure(FERMI, tube, state)
         ln_xi = log_grand_potential(FERMI, tube, state.lam, state.z)
         assert p == pytest.approx(state.T * ln_xi / (400.0 * 2.0), rel=1e-12)
+
+    def test_pressure_equals_the_thermo_row(self):
+        """pressure() sums ln Xi on its own, a thermo row reads it from the
+        row's h table: on random plane and tube states of both statistics
+        the two agree bit for bit."""
+        rng = np.random.default_rng(29)
+        solved = dict.fromkeys(itertools.product((BOSE, FERMI), (False, True)), 0)
+        shapes = (Disk(1.0), Rectangle(2.0, 0.5), Annulus(0.5, 1.5))
+        for _ in range(200):
+            stat = (BOSE, FERMI)[rng.integers(2)]
+            dom = make_domain(shapes[rng.integers(3)])
+            tube = bool(rng.random() < 0.5)
+            lam = 10.0 ** rng.uniform(-2.5, -0.5) * math.sqrt(dom.area)
+            N = 10.0 ** rng.uniform(-4.0, 1.0) * dom.area / lam**2
+            container = dom
+            if tube:
+                container = TubeDomain(dom, rng.uniform(150.0, 400.0) * math.sqrt(dom.area))
+                N *= container.length_z / lam
+            try:
+                row = (thermo_3d if tube else thermo_2d)(stat, container, N, 2.0 * math.pi / lam**2)
+            except ConfinedGasError:
+                continue
+            assert pressure(stat, container, row.state) == row.P
+            solved[stat, tube] += 1
+        assert min(solved.values()) >= 20, solved
 
     @staticmethod
     def near_cap_state():

@@ -1,17 +1,17 @@
 """Tests for container geometry and the corrected state sum."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confinedgas.eos import particle_number
+from confinedgas.eos import particle_number, solve_fugacity
 from confinedgas.errors import ConfinedGasError, DomainError, GeometryError, ModelError
 from confinedgas.geometry import (
     Annulus,
-    AspectRatioWarning,
     Disk,
     PlanarDomain,
     PolygonWithHoles,
@@ -106,6 +106,34 @@ class TestMakeDomain:
         with pytest.raises(GeometryError):
             make_domain(PolygonWithHoles(outer=UNIT_SQUARE_RING, holes=(hole,)))
 
+    @staticmethod
+    def square(lo, hi):
+        return ((lo, lo), (hi, lo), (hi, hi), (lo, hi))
+
+    def test_overlapping_holes_rejected(self):
+        """Holes [1,5]^2 and [3,7]^2 in [0,10]^2 overlap: the true domain has
+        one hole of area 28, not two of area 16."""
+        outer = self.square(0.0, 10.0)
+        with pytest.raises(GeometryError, match="hole 1 crosses hole 0"):
+            make_domain(PolygonWithHoles(outer, (self.square(1.0, 5.0), self.square(3.0, 7.0))))
+
+    def test_nested_holes_rejected(self):
+        outer, big, small = self.square(0.0, 10.0), self.square(1.0, 7.0), self.square(3.0, 5.0)
+        for holes in ((big, small), (small, big)):
+            with pytest.raises(GeometryError, match="hole 1 overlaps hole 0"):
+                make_domain(PolygonWithHoles(outer, holes))
+
+    def test_hole_crossing_the_outer_ring_rejected(self):
+        """Every vertex of the hole lies inside the U-shaped ring, but the
+        hole spans the notch between its arms."""
+        u_ring = ((0, 0), (10, 0), (10, 10), (6, 10), (6, 2), (4, 2), (4, 10), (0, 10))
+        hole = ((3, 8), (7, 8), (7, 9), (3, 9))
+        with pytest.raises(GeometryError, match="hole 0 crosses the outer ring"):
+            make_domain(PolygonWithHoles(u_ring, (hole,)))
+        # The same hole moved into one arm is accepted.
+        arm = ((1, 8), (3, 8), (3, 9), (1, 9))
+        assert make_domain(PolygonWithHoles(u_ring, (arm,))).holes == 1
+
     def test_degenerate_ring_rejected(self):
         with pytest.raises(GeometryError):
             make_domain(PolygonWithHoles(outer=((0.0, 0.0), (1.0, 0.0))))
@@ -159,15 +187,22 @@ class TestTubeDomain:
         with pytest.raises(GeometryError):
             TubeDomain(make_domain(Disk(1.0)), 5.0)
 
-    def test_marginal_tube_warns(self):
-        with pytest.warns(AspectRatioWarning):
-            TubeDomain(make_domain(Disk(1.0)), 30.0)
-
-    def test_long_tube_clean(self):
-        import warnings
+    @staticmethod
+    def solve_tube(length_z):
+        """A Fermi solve on a unit-disk tube, with Python warnings as errors:
+        the validity report is the only channel that may flag the tube."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            TubeDomain(make_domain(Disk(1.0)), 500.0)
+            tube = TubeDomain(make_domain(Disk(1.0)), length_z)
+            return solve_fugacity(StatKind.FERMI, tube, 100.0, 50.0)[1]
+
+    def test_marginal_tube_warns(self):
+        """30 long is 16.9 sqrt(area): flagged below the threshold 100."""
+        aspect = [w for w in self.solve_tube(30.0).warnings if w.startswith("aspect:")]
+        assert len(aspect) == 1 and "16.93" in aspect[0] and "100" in aspect[0]
+
+    def test_long_tube_clean(self):
+        assert self.solve_tube(500.0).warnings == ()
 
 
 class TestThermalWavelength:

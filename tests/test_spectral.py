@@ -63,8 +63,14 @@ class TestRectangleSpectrum:
         assert all(a < b for a, b in zip(spec.mu, spec.mu[1:]))
 
     def test_resource_cap(self):
-        with pytest.raises(ResourceError):
-            rectangle_spectrum(1.0, 1.0, 1e9)
+        """Every builder refuses before enumerating, also where both Weyl
+        terms overflow and the count is NaN."""
+        for build, args in ((rectangle_spectrum, (1.0, 1.0, 1e9)),
+                            (rectangle_spectrum, (1e300, 1.0, 1e300)),
+                            (disk_spectrum, (1.0, 1e9)),
+                            (annulus_spectrum, (1.0, 2.0, 1e9))):
+            with pytest.raises(ResourceError, match="states \\(cap 10000000\\)"):
+                build(*args)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -139,7 +145,7 @@ def test_round_spectra_complete_at_half_cutoff(radius, ratio, states):
 
     The cutoff is set by the two-term Weyl count ``states``; with
     ratio <= 0.7 and states >= 100 the bulk term is at least 4x the
-    boundary term, so the Weyl band of ``_certify_count`` applies.
+    boundary term, so the Weyl band of the build path applies.
     Re-enumerating at half the cutoff must give the levels of the full
     spectrum below it, with the same multiplicities, to 1e-14.
     """
