@@ -46,6 +46,7 @@ from .geometry import (
     parse_shape,
     thermal_wavelength,
     weyl_state_sum,
+    weyl_terms,
 )
 from .eos import (
     GasState,

@@ -5,8 +5,7 @@ Alg. 644), which implements none of the formulas the oracle checks.  One
 pass serves every order of a shape: the orders' sampling grids are joined
 and evaluated in one vectorised call, the sign changes within each order
 are polished together by Newton steps safeguarded by bisection, using
-C_nu' = C_(nu-1) - (nu/x) C_nu, and every root is certified.  The
-one-order finders are the same pass over a single order.
+C_nu' = C_(nu-1) - (nu/x) C_nu, and every root is certified.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from scipy.special import jv, yv
 
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["j_zeros", "j_zeros_up_to", "cross_product_zeros", "cross_product_zeros_up_to"]
+__all__ = ["j_zeros", "cross_product_zeros"]
 
 
 def _roots(func, nu: np.ndarray, start: np.ndarray, stop: float,
@@ -111,12 +110,6 @@ def j_zeros(orders, xmax: float) -> list[np.ndarray]:
     return table
 
 
-def j_zeros_up_to(nu: int, xmax: float) -> list[float]:
-    """All zeros of J_nu in (0, xmax], ascending (``j_zeros`` for one order)."""
-    table = j_zeros([nu], xmax)
-    return table[0].tolist() if table else []
-
-
 def _scaled_cross(nu, k, ri: float, ro: float, slope: bool = False):
     """G = (J_nu(k Ri) Y_nu(k Ro) - J_nu(k Ro) Y_nu(k Ri)) / |H_nu(k Ri)|.
 
@@ -167,11 +160,3 @@ def cross_product_zeros(orders, r_inner: float, r_outer: float,
         raise ConvergenceError(f"cross-product zero of order {nu[i]} at k={zeros[i]} is only "
                                f"accurate to dk={k_err[i]:.3e} (residual {residual[i]:.3e})")
     return table
-
-
-def cross_product_zeros_up_to(nu: int, r_inner: float, r_outer: float,
-                              kmax: float) -> list[float]:
-    """All k in (0, kmax] where the cross-product vanishes, ascending
-    (``cross_product_zeros`` for one order)."""
-    table = cross_product_zeros([nu], r_inner, r_outer, kmax)
-    return table[0].tolist() if table else []

@@ -46,19 +46,12 @@ EXIT_ACCURACY = 4
 #: Largest point count a lo:hi:n grid may ask for.
 MAX_GRID_POINTS = 10**6
 
-_ACCURACY_ERRORS = (AccuracyError, TruncationError, ConvergenceError)
-
-
-def _exit_code_for(exc: ConfinedGasError) -> int:
-    if isinstance(exc, _ACCURACY_ERRORS):
-        return EXIT_ACCURACY
-    return EXIT_INVALID
-
 
 def _fail(exc: ConfinedGasError) -> None:
     diag = {"error": type(exc).__name__, "message": str(exc)}
     click.echo(json.dumps(diag), err=True)
-    sys.exit(_exit_code_for(exc))
+    accuracy = isinstance(exc, (AccuracyError, TruncationError, ConvergenceError))
+    sys.exit(EXIT_ACCURACY if accuracy else EXIT_INVALID)
 
 
 def _fmt(value) -> str:
@@ -90,10 +83,6 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: str | None) -> No
         click.echo(text, nl=False)
 
 
-def _parse_stat(text: str) -> StatKind:
-    return StatKind.BOSE if text == "bose" else StatKind.FERMI
-
-
 def _parse_order(text: str) -> Order:
     num, sep, den = text.strip().partition("/")
     try:
@@ -121,6 +110,17 @@ def _parse_grid(text: str) -> list[float]:
     if n == 1:
         return [lo]
     return list(np.linspace(lo, hi, n))
+
+
+def _container(shape: str, length_z: float | None):
+    """The planar domain of a shape, or the tube over it when --Lz is given."""
+    dom = make_domain(parse_shape(shape))
+    return dom if length_z is None else TubeDomain(dom, length_z)
+
+
+def _validity_columns(report: eos.ValidityReport) -> dict:
+    """The ratio, fermi_extension_used and warnings columns of a row."""
+    return {**dataclasses.asdict(report), "warnings": "; ".join(report.warnings)}
 
 
 def _parse_t_list(text: str) -> list[float]:
@@ -157,7 +157,7 @@ def cmd_specfun(stat, order_text, z_value, z_grid, fmt, out):
     method is ClosedForm, Series or Inversion (Fermi z > 0.99).
     """
     try:
-        kind = _parse_stat(stat)
+        kind = StatKind(stat)
         order = _parse_order(order_text)
         if (z_value is None) == (z_grid is None):
             raise DomainError("provide exactly one of --z or --z-grid")
@@ -210,28 +210,14 @@ def cmd_solve(stat, shape, n_particles, temperature, length_z, tol,
     ratio_topology, fermi_extension_used, warnings.
     """
     try:
-        kind = _parse_stat(stat)
-        container = make_domain(parse_shape(shape))
-        if length_z is not None:
-            container = TubeDomain(container, length_z)
         state, report = eos.solve_fugacity(
-            kind, container, n_particles, temperature, tol,
+            StatKind(stat), _container(shape, length_z), n_particles, temperature, tol,
             warn_wavelength=warn_wavelength, warn_boundary=warn_boundary,
         )
     except ConfinedGasError as exc:
         _fail(exc)
-    row = {
-        "stat": stat,
-        "z": state.z,
-        "lambda": state.lam,
-        "T": state.T,
-        "N": state.N,
-        "ratio_wavelength": report.ratio_wavelength,
-        "ratio_boundary": report.ratio_boundary,
-        "ratio_topology": report.ratio_topology,
-        "fermi_extension_used": report.fermi_extension_used,
-        "warnings": "; ".join(report.warnings),
-    }
+    row = {"stat": stat, "z": state.z, "lambda": state.lam, "T": state.T, "N": state.N,
+           **_validity_columns(report)}
     _emit([row], SOLVE_COLUMNS, fmt, out)
     if report.warnings:
         sys.exit(EXIT_WARNED)
@@ -263,11 +249,7 @@ def _table_row(thermo_fn, kind, container, n_particles, T):
         "C_V": rep.C_V,
         "P": rep.P,
         **dataclasses.asdict(rep.aux),
-        "ratio_wavelength": rep.validity.ratio_wavelength,
-        "ratio_boundary": rep.validity.ratio_boundary,
-        "ratio_topology": rep.validity.ratio_topology,
-        "fermi_extension_used": rep.validity.fermi_extension_used,
-        "warnings": "; ".join(rep.validity.warnings),
+        **_validity_columns(rep.validity),
         "status": "ok",
     }
 
@@ -288,10 +270,8 @@ def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out):
     ratio_boundary, ratio_topology, fermi_extension_used, warnings, status.
     """
     try:
-        kind = _parse_stat(stat)
-        container = make_domain(parse_shape(shape))
-        if length_z is not None:
-            container = TubeDomain(container, length_z)
+        kind = StatKind(stat)
+        container = _container(shape, length_z)
         temps = _parse_grid(t_grid)
     except ConfinedGasError as exc:
         _fail(exc)

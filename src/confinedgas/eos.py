@@ -2,10 +2,10 @@
 
 A container enters only through the Weyl weights of its state sum at
 thermal wavelength lam and an order shift.  A planar domain (area O,
-boundary length L, holes r) has weights (O/lam^2, -L/(4 lam), (1-r)/6) and
-shift 0; a uniform tube of length Lz over that cross-section has the same
-weights times Lz/lam and shift 1/2.  ln Xi, N and z dN/dz are then one
-weighted sum at order offsets +1, 0 and -1:
+boundary length L, holes r) has weights (O/lam^2, -L/(4 lam), (1-r)/6),
+its ``geometry.weyl_terms``, and shift 0; a uniform tube of length Lz over
+that cross-section has the same weights times Lz/lam and shift 1/2.  ln Xi,
+N and z dN/dz are then one weighted sum at order offsets +1, 0 and -1:
 
     sum_i  w_i h_(s_i + shift + offset)(z),   (s_1, s_2, s_3) = (1, 1/2, 0)
 
@@ -24,10 +24,12 @@ term (Boltzmann for Bose; exactly in the plane and by the degenerate limit
 in a tube for Fermi), brackets the root by a walk that also decides the
 branch and the refusals (geometric in z and 1 - z for Bose, steps in ln z
 from 1/8 doubling to ln 4 for Fermi), polishes it with ``bracketed_root``
-(regula falsi with the Anderson-Bjorck step), checks the branch with one
-z dN/dz sum whose certified error settles its sign, and reports how
-trustworthy the asymptotic model is at the solution
-(wavelength/boundary/topology ratios, tube aspect, Fermi z > 1 flag).
+(regula falsi with the Anderson-Bjorck step), refuses a root it cannot
+resolve because the corrections cancel the bulk term beyond the certified
+error of N(z) (``ModelError``), checks the branch with one z dN/dz sum
+whose certified error settles its sign, and reports how trustworthy the
+asymptotic model is at the solution (wavelength/boundary/topology ratios,
+tube aspect, Fermi z > 1 flag).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     NoBracketError,
     NonMonotoneError,
 )
-from .geometry import PlanarDomain, TubeDomain, thermal_wavelength
+from .geometry import PlanarDomain, TubeDomain, thermal_wavelength, weyl_terms
 from .statfun import FERMI_Z_MAX, Order, StatKind, h_orders
 
 __all__ = [
@@ -112,12 +114,13 @@ def _model(container: PlanarDomain | TubeDomain, lam: float):
     """Weyl weights (bulk, edge, hole) at lam, twice the order shift, and
     the cross-section area.
 
-    A tube is its cross-section with every weight times Lz/lam and every
-    order half a step up.  A weight that overflows is refused.
+    A planar domain's weights are its ``weyl_terms``; a tube is its
+    cross-section with every weight times Lz/lam and every order half a
+    step up.  A weight that overflows is refused.
     """
     tube = isinstance(container, TubeDomain)
     dom = container.cross_section if tube else container
-    weights = (dom.area / lam**2, -0.25 * dom.perimeter / lam, (1.0 - dom.holes) / 6.0)
+    weights = weyl_terms(dom, lam)
     if tube:
         axial = container.length_z / lam
         weights = tuple(axial * w for w in weights)
@@ -299,9 +302,14 @@ def solve_fugacity(
     NonMonotoneError
         The particle-number equation is decreasing at the root; the
         corrections are too large for the model to be trusted here.
+    ModelError
+        The bracket shrank to adjacent floats before the residual met the
+        target, and the certified error of N(z) there exceeds tol * N: the
+        corrections cancel the bulk term beyond what double precision
+        resolves.
     AccuracyError
         The bracket shrank to adjacent floats before the residual met the
-        target.
+        target although N(z) is certified to within tol * N there.
 
     Notes
     -----
@@ -421,6 +429,13 @@ def solve_fugacity(
 
     z_star, res = bracketed_root(residual, lo, f_lo, hi, f_hi, tol * N)
     if not abs(res) <= tol * N:
+        _, error = n_terms(z_star)
+        if error > tol * N:
+            raise ModelError(
+                f"fugacity solver stalled at residual {res:.3e}: N(z) at z = {z_star:.6g} "
+                f"is certified only to {error:.3e} (target {tol * N:.3e}); the "
+                "corrections cancel the bulk term"
+            )
         raise AccuracyError(
             f"fugacity solver stalled at residual {res:.3e} (target {tol * N:.3e})",
             achieved=abs(res),
@@ -499,16 +514,17 @@ def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasSta
     For a planar domain the measure is the area (spreading pressure); for a
     tube it is the volume length_z * area.  Each tube adds one dimension and
     one half-order step, so the measure is the bulk weight times
-    lam^(2 + shift).
+    lam^(2 + shift).  Only the ln Xi orders with a non-zero weight are
+    evaluated, so a free plane never needs h_1 (divergent at Bose z = 1).
     """
     weights, shift, _ = _model(container, state.lam)
-    ln_xi = log_grand_potential(stat, container, state.lam, state.z)
-    return state.T * ln_xi / (weights[0] * state.lam ** (2 + shift))
+    live = [o for w, o in zip(weights, _ORDERS[shift, 1]) if w != 0.0]
+    return _pressure(container, state, _h_table(stat, state.z, live))
 
 
 def _pressure(container, state: GasState, h) -> float:
     """pressure() from a table {order: h value} at state.z that holds the
-    ln Xi orders."""
+    ln Xi orders of the non-zero weights."""
     weights, shift, _ = _model(container, state.lam)
     ln_xi = _nonnegative("ln Xi", sum(_terms(weights, shift, 1, h)), state.lam, state.z)
     return state.T * ln_xi / (weights[0] * state.lam ** (2 + shift))

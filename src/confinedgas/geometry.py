@@ -37,6 +37,7 @@ __all__ = [
     "make_domain",
     "thermal_wavelength",
     "weyl_state_sum",
+    "weyl_terms",
     "parse_shape",
     "polygon_spec_from_text",
 ]
@@ -333,21 +334,24 @@ def thermal_wavelength(T: float) -> float:
     return math.sqrt(2.0 * math.pi / T)
 
 
-def weyl_state_sum(dom: PlanarDomain, lam: float) -> float:
-    """Boundary- and connectivity-corrected single-particle state sum.
-
-    Returns area/lam^2 - perimeter/(4 lam) + (1 - holes)/6 exactly as
-    written; validity judgments belong to the equation-of-state layer.
-    Raises ModelError when the value is not positive (lam too large for the
-    domain, the expansion is meaningless).
+def weyl_terms(dom: PlanarDomain, lam: float) -> tuple[float, float, float]:
+    """The bulk, boundary and connectivity terms of the state sum at lam:
+    (area/lam^2, -perimeter/(4 lam), (1 - holes)/6).  The one place they
+    are computed; validity judgments belong to the equation-of-state layer.
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DomainError(f"thermal wavelength must be positive, got {lam}")
-    value = (
-        dom.area / lam**2
-        - 0.25 * dom.perimeter / lam
-        + (1.0 - dom.holes) / 6.0
-    )
+    return dom.area / lam**2, -0.25 * dom.perimeter / lam, (1.0 - dom.holes) / 6.0
+
+
+def weyl_state_sum(dom: PlanarDomain, lam: float) -> float:
+    """Boundary- and connectivity-corrected single-particle state sum.
+
+    Returns area/lam^2 - perimeter/(4 lam) + (1 - holes)/6, the sum of
+    ``weyl_terms``.  Raises ModelError when the value is not positive (lam
+    too large for the domain, the expansion is meaningless).
+    """
+    value = sum(weyl_terms(dom, lam))
     if value <= 0.0:
         raise ModelError(
             f"corrected state sum {value:.6g} <= 0 at lambda={lam:.6g}; "

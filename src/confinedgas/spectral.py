@@ -63,7 +63,6 @@ class Spectrum:
     mu: np.ndarray
     multiplicity: np.ndarray
     cutoff: float
-    shape: ShapeSpec
     tail_bound_coeff: float
 
     @property
@@ -101,7 +100,6 @@ def _build(shape: ShapeSpec, cutoff: float, levels) -> Spectrum:
         mu=np.array([e[0] for e in merged], dtype=float),
         multiplicity=np.array([e[1] for e in merged], dtype=np.int64),
         cutoff=float(cutoff),
-        shape=shape,
         tail_bound_coeff=_TAIL_SAFETY * dom.area / (2.0 * math.pi),
     )
     band = max(12.0, 3.0 * math.sqrt(max(weyl, 1.0)))

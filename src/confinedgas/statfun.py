@@ -102,11 +102,6 @@ class StatKind(enum.Enum):
     BOSE = "bose"
     FERMI = "fermi"
 
-    @property
-    def sign(self) -> int:
-        """+1 for Bose (all series terms positive), -1 for Fermi."""
-        return 1 if self is StatKind.BOSE else -1
-
 
 @dataclass(frozen=True, order=True)
 class Order:

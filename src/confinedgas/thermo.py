@@ -8,6 +8,11 @@ that resolve the particle-number equation in closed form.  All auxiliary
 coefficients equal 1 for the free-space configuration (perimeter 0, one
 hole), where every expression collapses to the textbook ideal-gas form.
 
+A row reads one table of h values at the solved z, and the public
+``aux_2d``/``aux_3d`` read the same orders.  Both run the closed forms
+under one overflow guard: a container whose powers of the geometry
+overflow is refused with SingularityError.
+
 Conventions: k_B = 1; U, F, S and C_V are totals (not per particle); the
 identity S = (U - F)/T holds algebraically for the printed expressions and
 is enforced by the test-suite, not re-derived here.
@@ -103,11 +108,9 @@ class ThermoReport:
     validity: ValidityReport
 
 
-#: The orders each closed form reads, and the union that one row evaluates
-#: at z* (it also holds the ln Xi orders of the pressure).
-_AUX_2D = (MINUS_ONE, MINUS_HALF, ZERO, HALF, ONE)
+#: The orders one row evaluates at z*: every order its closed forms read,
+#: and the ln Xi orders of the pressure.
 _ROW_2D = (MINUS_ONE, MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, TWO)
-_AUX_3D = (MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, FIVE_HALVES)
 _ROW_3D = (MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, TWO, FIVE_HALVES)
 
 
@@ -121,13 +124,26 @@ def _cbrt(x: float) -> float:
     return float(np.cbrt(x))
 
 
+def _no_overflow(z: float, form, *args):
+    """form(*args).  The closed forms take powers of the geometry (L**2,
+    L**3, ...) that overflow for huge containers; that refuses them like any
+    other singular closed form."""
+    try:
+        return form(*args)
+    except OverflowError as exc:
+        raise SingularityError(
+            f"the closed forms overflow at z = {z:.6g}; the container is "
+            "too large for double precision"
+        ) from exc
+
+
 # ---------------------------------------------------------------------------
 # two dimensions
 # ---------------------------------------------------------------------------
 
 def aux_2d(stat: StatKind, z: float, N: float, dom: PlanarDomain) -> Aux2D:
     """Closed forms for sigma2 and eta2 at (z, N, geometry)."""
-    return _aux_2d(_h_table(stat, z, _AUX_2D), N, dom)
+    return _no_overflow(z, _aux_2d, _h_table(stat, z, _ROW_2D), N, dom)
 
 
 def _aux_2d(h, N: float, dom: PlanarDomain) -> Aux2D:
@@ -191,18 +207,11 @@ def _thermo_2d_from_state(dom, state: GasState, aux: Aux2D, h):
 
 def _row(stat, container, N, T, orders, aux_fn, forms_fn) -> ThermoReport:
     """Solve the state point, read one h table at z* and fill the closed
-    forms.  Their powers of huge geometries (L**2, L**3, ...) can overflow;
-    that refuses the row like any other singular closed form."""
+    forms."""
     state, validity = solve_fugacity(stat, container, N, T)
     h = _h_table(stat, state.z, orders)
-    try:
-        aux = aux_fn(h, N, container)
-        U, F, S, C_V = forms_fn(container, state, aux, h)
-    except OverflowError as exc:
-        raise SingularityError(
-            f"the closed forms overflow at z = {state.z:.6g}; the container is "
-            "too large for double precision"
-        ) from exc
+    aux = _no_overflow(state.z, aux_fn, h, N, container)
+    U, F, S, C_V = _no_overflow(state.z, forms_fn, container, state, aux, h)
     P = _pressure(container, state, h)
     return ThermoReport(U=U, F=F, S=S, C_V=C_V, P=P, state=state, aux=aux,
                         validity=validity)
@@ -226,7 +235,7 @@ def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D) -> float:
 def aux_3d(stat: StatKind, z: float, N: float, tube: TubeDomain) -> Aux3D:
     """Closed forms for sigma3, eta3 and xi1..xi5, evaluated in dependency
     order xi5 -> xi4 -> xi3 -> xi2 -> xi1 -> sigma3 -> eta3."""
-    return _aux_3d(_h_table(stat, z, _AUX_3D), N, tube)
+    return _no_overflow(z, _aux_3d, _h_table(stat, z, _ROW_3D), N, tube)
 
 
 def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:

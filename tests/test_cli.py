@@ -169,6 +169,14 @@ class TestSolve:
                      "--N", "5000", "--T", "200")
         assert result.exit_code == 3
 
+    def test_cancelled_bulk_term_is_a_model_error(self):
+        """At T = 1 the boundary term cancels the bulk term far below the
+        certified error of N(z): the model fails, not the arithmetic."""
+        result = run("solve", "--stat", "fermi", "--shape", "rect:1e150,1",
+                     "--N", "5", "--T", "1")
+        assert result.exit_code == 3, result.output
+        assert json.loads(result.output.strip().splitlines()[-1])["error"] == "ModelError"
+
     def test_tube_solve(self):
         result = run("solve", "--stat", "fermi", "--shape", "disk:1",
                      "--N", "2000", "--T", "100", "--Lz", "500")
@@ -248,6 +256,14 @@ class TestTable:
         statuses = [row["status"] for row in parse_csv(result.output)]
         assert statuses[0].startswith("error:")
         assert set(statuses[1:]) == {"error:SingularityError"}
+
+    @pytest.mark.parametrize("args", [
+        ("--shape", "rect:1e150,1", "--T-grid", "1:1000:3"),
+        ("--shape", "rect:1e120,1", "--T-grid", "1:2:2", "--Lz", "1e63"),
+    ])
+    def test_cancelled_bulk_term_is_a_model_error_row(self, args):
+        result = run("table", "--stat", "fermi", "--N", "5", *args)
+        assert parse_csv(result.output)[0]["status"] == "error:ModelError"
 
     @pytest.mark.parametrize("shape, length_z", [
         ("rect:1e300,1", "1e303"), ("rect:1e150,1", "1e160"), ("disk:1e150", "1e160")])

@@ -32,6 +32,8 @@ from confinedgas.eos import (
 from confinedgas.geometry import (
     Annulus,
     Disk,
+    FreePlane,
+    PolygonWithHoles,
     Rectangle,
     TubeDomain,
     free_plane,
@@ -520,6 +522,37 @@ def test_solve_fugacity_meets_residual_or_refuses(stat, shape, tube, aspect, log
     assert math.isfinite(state.z) and state.z > 0.0
     resid = abs(particle_number(stat, container, state.lam, state.z) - N)
     assert resid <= tol * N + particle_number_error(stat, container, state.lam, state.z)
+
+
+def square(x, y, side):
+    return ((x, y), (x + side, y), (x + side, y + side), (x, y + side))
+
+
+SQUARE = square(0.0, 0.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.sampled_from((Disk(1.0), Rectangle(2.0, 0.5), Annulus(0.5, 1.5), FreePlane(3.0),
+                           PolygonWithHoles(SQUARE, (square(1.0, 1.0, 1.0), square(5.0, 5.0, 2.0))))),
+    log10_scale=st.floats(-3.0, 50.0),
+    log10_ratio=st.floats(-4.0, 1.0),
+)
+def test_model_weights_sum_to_the_state_sum(shape, log10_scale, log10_ratio):
+    """The planar weights of the equation of state are the Weyl terms of
+    the state sum: their sum is weyl_state_sum bit for bit, or both refuse
+    a state sum that is not positive."""
+    dom = make_domain(shape)
+    dom = dataclasses.replace(dom, area=dom.area * 100.0**log10_scale,
+                              perimeter=dom.perimeter * 10.0**log10_scale)
+    lam = 10.0**log10_ratio * math.sqrt(dom.area)
+    weights, shift, _ = eos._model(dom, lam)
+    assert shift == 0
+    if sum(weights) > 0.0:
+        assert sum(weights) == weyl_state_sum(dom, lam)
+    else:
+        with pytest.raises(ModelError):
+            weyl_state_sum(dom, lam)
 
 
 def test_scipy_stays_off_the_import_path():

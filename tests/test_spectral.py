@@ -277,8 +277,7 @@ class TestExactThermo:
         """One level: N = 1/(e^(mu/T)/z + 1) inverts to z = e^(mu/T) N/(1-N)."""
         mu0, t = 2.0, 1.3
         spec = Spectrum(mu=np.array([mu0]), multiplicity=np.array([1]),
-                        cutoff=40.0 * t + 1.0, shape=Rectangle(1.0, 1.0),
-                        tail_bound_coeff=0.0)
+                        cutoff=40.0 * t + 1.0, tail_bound_coeff=0.0)
         n = 0.37
         z, ln_xi, u = exact_thermo(FERMI, spec, n, t)
         assert z == pytest.approx(math.exp(mu0 / t) * n / (1.0 - n), rel=1e-12)
@@ -289,8 +288,7 @@ class TestExactThermo:
         """One level: N = 1/(e^(mu/T)/z - 1) inverts to z = e^(mu/T) N/(1+N)."""
         mu0, t = 2.0, 1.3
         spec = Spectrum(mu=np.array([mu0]), multiplicity=np.array([1]),
-                        cutoff=40.0 * t + 1.0, shape=Rectangle(1.0, 1.0),
-                        tail_bound_coeff=0.0)
+                        cutoff=40.0 * t + 1.0, tail_bound_coeff=0.0)
         n = 2.5
         z, ln_xi, u = exact_thermo(BOSE, spec, n, t)
         assert z == pytest.approx(math.exp(mu0 / t) * n / (1.0 + n), rel=1e-12)

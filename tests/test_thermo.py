@@ -117,6 +117,12 @@ class TestAux2D:
         with pytest.raises(SingularityError):
             aux_2d(BOSE, 0.99, 0.5, make_domain(Rectangle(1.0, 1.0)))
 
+    def test_overflow_refused(self):
+        """L**2 overflows past a perimeter of about 1.3e154; the public
+        closed form refuses it like a row does."""
+        with pytest.raises(SingularityError):
+            aux_2d(FERMI, 1e-150, 5.0, make_domain(Rectangle(1e154, 1.0)))
+
 
 class TestThermo2D:
     def test_classical_free_limit(self):
@@ -214,6 +220,13 @@ class TestAux3D:
             aux_3d(BOSE, state.z, state.N, tube)
         with pytest.raises(SingularityError):
             thermo_3d(BOSE, tube, state.N, state.T)
+
+    def test_overflow_refused(self):
+        """L**3 of xi2 overflows on this cross-section; the public closed
+        form refuses it like a row does."""
+        tube = TubeDomain(make_domain(Rectangle(1e120, 1.0)), 1e63)
+        with pytest.raises(SingularityError):
+            aux_3d(BOSE, 2.44712e-181, 5.0, tube)
 
 
 class TestThermo3D:
