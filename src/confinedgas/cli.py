@@ -10,8 +10,9 @@ verify    run the oracle checks of ``confinedgas.certify``
 
 Every command is deterministic for identical flags.  Numeric output uses
 17 significant digits so that parse(print(x)) == x.  Exit codes: 0 success,
-2 solved but validity warnings were raised, 3 model-invalid input,
-4 internal accuracy failure.
+2 solved but validity warnings were raised, 3 model-invalid input or a
+malformed command line, 4 ``AccuracyError`` or a subclass; each failure
+writes one JSON line ``{"error": <class name>, "message": ...}`` to stderr.
 """
 
 from __future__ import annotations
@@ -22,23 +23,16 @@ import io
 import json
 import math
 import sys
+from typing import NoReturn
 
 import click
 import numpy as np
 
 from . import eos, thermo
-from .errors import (
-    AccuracyError,
-    ConfinedGasError,
-    ConvergenceError,
-    DomainError,
-    GeometryError,
-    TruncationError,
-)
+from .errors import AccuracyError, ConfinedGasError, DomainError, GeometryError
 from .geometry import Annulus, Disk, Rectangle, TubeDomain, make_domain, parse_shape
 from .statfun import Order, StatKind, eval_h
 
-EXIT_OK = 0
 EXIT_WARNED = 2
 EXIT_INVALID = 3
 EXIT_ACCURACY = 4
@@ -47,11 +41,26 @@ EXIT_ACCURACY = 4
 MAX_GRID_POINTS = 10**6
 
 
-def _fail(exc: ConfinedGasError) -> None:
-    diag = {"error": type(exc).__name__, "message": str(exc)}
-    click.echo(json.dumps(diag), err=True)
-    accuracy = isinstance(exc, (AccuracyError, TruncationError, ConvergenceError))
-    sys.exit(EXIT_ACCURACY if accuracy else EXIT_INVALID)
+def _fail(exc: ConfinedGasError | click.UsageError) -> NoReturn:
+    message = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
+    click.echo(json.dumps({"error": type(exc).__name__, "message": message}), err=True)
+    sys.exit(EXIT_ACCURACY if isinstance(exc, AccuracyError) else EXIT_INVALID)
+
+
+class _Group(click.Group):
+    """The command group whose refusals and usage errors all go to ``_fail``."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        try:
+            return super().parse_args(ctx, args)
+        except click.UsageError as exc:
+            _fail(exc)
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ConfinedGasError, click.UsageError) as exc:
+            _fail(exc)
 
 
 def _fmt(value) -> str:
@@ -124,17 +133,19 @@ def _validity_columns(report: eos.ValidityReport) -> dict:
 
 
 def _parse_t_list(text: str) -> list[float]:
-    """Comma-separated positive, finite heat-kernel times, largest first."""
+    """Comma-separated distinct, positive, finite heat-kernel times, largest first."""
     try:
         times = sorted((float(s) for s in text.split(",")), reverse=True)
     except ValueError as exc:
         raise DomainError(f"t-list {text!r}: expected comma-separated numbers ({exc})") from exc
     if not all(0.0 < t < math.inf for t in times):
         raise DomainError(f"t-list {text!r}: every time must be positive and finite")
+    if len(set(times)) < len(times):
+        raise DomainError(f"t-list {text!r}: the times must be distinct")
     return times
 
 
-@click.group()
+@click.group(cls=_Group, no_args_is_help=False)
 def main() -> None:
     """Quantum gases in finite containers: corrected equations of state."""
 
@@ -156,23 +167,20 @@ def cmd_specfun(stat, order_text, z_value, z_grid, fmt, out):
 
     method is ClosedForm, Series or Inversion (Fermi z > 0.99).
     """
-    try:
-        kind = StatKind(stat)
-        order = _parse_order(order_text)
-        if (z_value is None) == (z_grid is None):
-            raise DomainError("provide exactly one of --z or --z-grid")
-        zs = [z_value] if z_value is not None else _parse_grid(z_grid)
-        rows = []
-        for z in zs:
-            fv = eval_h(kind, order, z)
-            rows.append({
-                "z": z,
-                "value": fv.value,
-                "error_bound": fv.abs_error_bound,
-                "method": fv.method.value,
-            })
-    except ConfinedGasError as exc:
-        _fail(exc)
+    kind = StatKind(stat)
+    order = _parse_order(order_text)
+    if (z_value is None) == (z_grid is None):
+        raise DomainError("provide exactly one of --z or --z-grid")
+    zs = [z_value] if z_value is not None else _parse_grid(z_grid)
+    rows = []
+    for z in zs:
+        fv = eval_h(kind, order, z)
+        rows.append({
+            "z": z,
+            "value": fv.value,
+            "error_bound": fv.abs_error_bound,
+            "method": fv.method.value,
+        })
     _emit(rows, ["z", "value", "error_bound", "method"], fmt, out)
 
 
@@ -180,11 +188,9 @@ def cmd_specfun(stat, order_text, z_value, z_grid, fmt, out):
 # solve
 # ---------------------------------------------------------------------------
 
-SOLVE_COLUMNS = [
-    "stat", "z", "lambda", "T", "N",
-    "ratio_wavelength", "ratio_boundary", "ratio_topology",
-    "fermi_extension_used", "warnings",
-]
+VALIDITY_COLUMNS = [f.name for f in dataclasses.fields(eos.ValidityReport)]
+
+SOLVE_COLUMNS = ["stat", "z", "lambda", "T", "N", *VALIDITY_COLUMNS]
 
 
 @main.command("solve")
@@ -209,13 +215,10 @@ def cmd_solve(stat, shape, n_particles, temperature, length_z, tol,
     Columns: stat, z, lambda, T, N, ratio_wavelength, ratio_boundary,
     ratio_topology, fermi_extension_used, warnings.
     """
-    try:
-        state, report = eos.solve_fugacity(
-            StatKind(stat), _container(shape, length_z), n_particles, temperature, tol,
-            warn_wavelength=warn_wavelength, warn_boundary=warn_boundary,
-        )
-    except ConfinedGasError as exc:
-        _fail(exc)
+    state, report = eos.solve_fugacity(
+        StatKind(stat), _container(shape, length_z), n_particles, temperature, tol,
+        warn_wavelength=warn_wavelength, warn_boundary=warn_boundary,
+    )
     row = {"stat": stat, "z": state.z, "lambda": state.lam, "T": state.T, "N": state.N,
            **_validity_columns(report)}
     _emit([row], SOLVE_COLUMNS, fmt, out)
@@ -228,10 +231,7 @@ def cmd_solve(stat, shape, n_particles, temperature, length_z, tol,
 # ---------------------------------------------------------------------------
 
 TABLE_HEAD = ["T", "z", "lambda", "U", "F", "S", "C_V", "P"]
-TABLE_TAIL = [
-    "ratio_wavelength", "ratio_boundary", "ratio_topology",
-    "fermi_extension_used", "warnings", "status",
-]
+TABLE_TAIL = [*VALIDITY_COLUMNS, "status"]
 
 
 def _table_row(thermo_fn, kind, container, n_particles, T):
@@ -269,12 +269,9 @@ def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out):
     sigma3, eta3, xi1..xi5 (with --Lz), then ratio_wavelength,
     ratio_boundary, ratio_topology, fermi_extension_used, warnings, status.
     """
-    try:
-        kind = StatKind(stat)
-        container = _container(shape, length_z)
-        temps = _parse_grid(t_grid)
-    except ConfinedGasError as exc:
-        _fail(exc)
+    kind = StatKind(stat)
+    container = _container(shape, length_z)
+    temps = _parse_grid(t_grid)
     if length_z is not None:
         thermo_fn, aux = thermo.thermo_3d, thermo.Aux3D
     else:
@@ -300,19 +297,15 @@ def cmd_oracle(shape, cutoff, out):
     """Export the exact Dirichlet spectrum as CSV (columns mu, multiplicity)."""
     from . import spectral
 
-    try:
-        spec_shape = parse_shape(shape)
-        if isinstance(spec_shape, Rectangle):
-            spectrum = spectral.rectangle_spectrum(spec_shape.a, spec_shape.b, cutoff)
-        elif isinstance(spec_shape, Disk):
-            spectrum = spectral.disk_spectrum(spec_shape.radius, cutoff)
-        elif isinstance(spec_shape, Annulus):
-            spectrum = spectral.annulus_spectrum(spec_shape.r_inner, spec_shape.r_outer,
-                                                 cutoff)
-        else:
-            raise GeometryError("exact spectra exist for rect, disk and annulus only")
-    except ConfinedGasError as exc:
-        _fail(exc)
+    spec_shape = parse_shape(shape)
+    if isinstance(spec_shape, Rectangle):
+        spectrum = spectral.rectangle_spectrum(spec_shape.a, spec_shape.b, cutoff)
+    elif isinstance(spec_shape, Disk):
+        spectrum = spectral.disk_spectrum(spec_shape.radius, cutoff)
+    elif isinstance(spec_shape, Annulus):
+        spectrum = spectral.annulus_spectrum(spec_shape.r_inner, spec_shape.r_outer, cutoff)
+    else:
+        raise GeometryError("exact spectra exist for rect, disk and annulus only")
     rows = [{"mu": float(m), "multiplicity": int(g)}
             for m, g in zip(spectrum.mu, spectrum.multiplicity)]
     _emit(rows, ["mu", "multiplicity"], "csv", out)
@@ -335,15 +328,12 @@ def cmd_verify(suite, t_list_text, report_path):
     """
     from . import certify
 
-    try:
-        t_list = _parse_t_list(t_list_text)
-        rows: list[dict] = []
-        if suite in ("heatkernel", "all"):
-            rows.extend(certify.heatkernel(t_list))
-        if suite in ("thermo", "all"):
-            rows.extend(certify.thermo_identities())
-    except ConfinedGasError as exc:
-        _fail(exc)
+    t_list = _parse_t_list(t_list_text)
+    rows: list[dict] = []
+    if suite in ("heatkernel", "all"):
+        rows.extend(certify.heatkernel(t_list))
+    if suite in ("thermo", "all"):
+        rows.extend(certify.thermo_identities())
     _emit(rows, certify.COLUMNS, "csv", None)
     if report_path:
         _emit(rows, certify.COLUMNS, "csv", report_path)

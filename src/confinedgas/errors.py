@@ -12,6 +12,8 @@ class DomainError(ConfinedGasError):
 class AccuracyError(ConfinedGasError):
     """A requested error bound could not be certified.
 
+    The family of numerical failures: the command line exits 4 for this
+    class and its subclasses, and 3 for every other library error.
     ``achieved`` carries the best bound that was reached, when known.
     """
 
@@ -44,9 +46,9 @@ class ResourceError(ConfinedGasError):
     """Requested enumeration exceeds the configured resource cap."""
 
 
-class ConvergenceError(ConfinedGasError):
+class ConvergenceError(AccuracyError):
     """An iterative scheme failed to converge."""
 
 
-class TruncationError(ConfinedGasError):
+class TruncationError(AccuracyError):
     """A truncated sum cannot certify the requested accuracy."""

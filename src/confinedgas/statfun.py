@@ -272,7 +272,14 @@ def _series(stat: StatKind, sigma: Order, z: float, tail_bound: float) -> Functi
         n_done = n_hi
         majorant = _series_tail_majorant(sig, z, n_done)
         if majorant <= tail_bound:
-            rounding = 6e-15 * total_abs + 2.0 * _EPS * abs(total)
+            # Term n's exponent n ln z - sigma ln n is off by a few eps of
+            # |n ln z|.  sum n^p z^n, p = max(1 - sigma, 0), is log-convex in
+            # p, so its closed forms at p = 0, 1, 2 bound it by the moment
+            # below.  A subnormal term or tail may lose one step.
+            p = max(1.0 - sig, 0.0)
+            moment = abs(log_z) * z * (1.0 + z) ** p / (1.0 - z) ** (1.0 + p)
+            rounding = (6e-15 * total_abs + 2.0 * _EPS * abs(total) + 4.0 * _EPS * moment
+                        + 2.0 * n_done * math.ulp(0.0))
             return FunctionValue(total, majorant + rounding, Method.SERIES, terms=n_done)
         block = min(2 * block, 1 << 16)
 

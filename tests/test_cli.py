@@ -14,7 +14,9 @@ import pytest
 from click.testing import CliRunner
 
 import confinedgas
+from confinedgas import spectral
 from confinedgas.cli import main
+from confinedgas.errors import ConvergenceError, TruncationError
 
 
 def run(*args):
@@ -112,6 +114,7 @@ class TestMalformedInput:
             (("oracle", "--shape", "annulus:1,2", "--cutoff", "nan"), "DomainError"),
             (("verify", "--suite", "heatkernel", "--t-list", "0,0.1"), "DomainError"),
             (("verify", "--suite", "heatkernel", "--t-list", "nan"), "DomainError"),
+            (("verify", "--suite", "heatkernel", "--t-list", "0.1,0.1"), "DomainError"),
             (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
               "--warn-wavelength", "nan"), "DomainError"),
             (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
@@ -132,6 +135,56 @@ class TestMalformedInput:
             assert diag["error"] == error, args
             if "--t-list" in args:
                 assert "t-list" in diag["message"], (args, diag)
+
+    SOLVE = ("--stat", "fermi", "--shape", "disk:1", "--N", "1", "--T", "1")
+
+    @pytest.mark.parametrize("args, error", [
+        (("solve", "--stat", "fermi", "--N", "1", "--T", "1"), "MissingParameter"),
+        (("solve", "--stat", "fermi", "--shape", "disk:1", "--N", "abc", "--T", "1"),
+         "BadParameter"),
+        (("solve", "--stat", "boson", "--shape", "disk:1", "--N", "1", "--T", "1"),
+         "BadParameter"),
+        (("solve", *SOLVE, "--bogus"), "NoSuchOption"),
+        (("--bogus", "solve", *SOLVE), "NoSuchOption"),
+        (("solvee", *SOLVE), "NoSuchCommand"),
+        ((), "UsageError"),
+    ])
+    def test_command_line_errors_exit_3_with_json_diagnostic(self, args, error):
+        """What click rejects leaves like a library refusal: exit 3 and one
+        JSON line naming click's error class, not usage text and exit 2."""
+        result = run(*args)
+        assert result.exit_code == 3, (args, result.output)
+        assert isinstance(result.exception, SystemExit), (args, result.exception)
+        diag = json.loads(result.output)
+        assert diag["error"] == error, args
+        assert diag["message"], args
+
+    def test_command_line_error_in_a_process(self):
+        proc = run_process("solve", "--stat", "fermi", "--shape", "disk:1",
+                           "--N", "abc", "--T", "1")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        diag = json.loads(proc.stderr)
+        assert diag["error"] == "BadParameter"
+        assert "--N" in diag["message"]
+
+    @pytest.mark.parametrize("args", [("--help",), ("solve", "--help")])
+    def test_help_exits_0(self, args):
+        result = run(*args)
+        assert result.exit_code == 0
+        assert result.output.startswith("Usage:")
+
+    @pytest.mark.parametrize("error", [TruncationError, ConvergenceError])
+    def test_accuracy_family_exits_4(self, monkeypatch, error):
+        """Truncation and convergence failures are accuracy failures."""
+        def refuse(*args):
+            raise error("cannot certify")
+
+        monkeypatch.setattr(spectral, "disk_spectrum", refuse)
+        result = run("oracle", "--shape", "disk:1", "--cutoff", "30")
+        assert result.exit_code == 4, result.output
+        diag = json.loads(result.output)
+        assert diag == {"error": error.__name__, "message": "cannot certify"}
 
 
 class TestSolve:

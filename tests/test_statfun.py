@@ -432,3 +432,20 @@ def test_eval_h_meets_contract_or_raises_accuracy_error(stat, sigma, log10_z):
     mp.mp.dps = 30
     exact = mp.polylog(sigma.value, z) if stat is BOSE else -mp.polylog(sigma.value, -z)
     assert abs(mp.mpf(got.value) - mp.re(exact)) <= got.abs_error_bound
+
+
+@pytest.mark.parametrize("stat", (BOSE, FERMI))
+@pytest.mark.parametrize("sigma", (MINUS_HALF, HALF, THREE_HALVES, TWO, FIVE_HALVES))
+def test_series_bound_holds_down_to_the_subnormals(stat, sigma):
+    """z = 10^-k from 1e-8 down to the subnormals, and the smallest double:
+    the series value is within its bound of mpmath, and the bound is inside
+    the 1e-10 contract.  The rounding of n ln z in each term's exponent
+    grows with |ln z|, and terms below 2^-1022 lose a subnormal step."""
+    zs = [10.0**-k for k in range(8, 324)] + [5e-324]
+    with mp.workdps(30):
+        for z in zs:
+            got = eval_h(stat, sigma, z)
+            assert got.method is Method.SERIES
+            exact = mp.polylog(sigma.value, z) if stat is BOSE else -mp.polylog(sigma.value, -z)
+            assert abs(mp.mpf(got.value) - mp.re(exact)) <= got.abs_error_bound, z
+            assert got.abs_error_bound <= max(1e-10, 1e-10 * abs(got.value)), z
