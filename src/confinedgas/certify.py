@@ -13,10 +13,14 @@ import math
 import numpy as np
 
 from . import eos, spectral, thermo
+from .errors import DomainError
 from .geometry import Annulus, Disk, Rectangle, TubeDomain, make_domain, thermal_wavelength
 from .statfun import ONE, THREE_HALVES, StatKind, eval_h
 
 COLUMNS = ["case", "t", "measured", "tolerance", "status"]
+
+#: Largest heat-kernel time, the unit disk's R^2: the small-t expansion ends there.
+HEATKERNEL_T_MAX = 1.0
 
 #: Random-state identity checks, one per dimensionality d: the sigma and
 #: entropy case names, the thermo function, the bulk order d/2, the number
@@ -44,7 +48,11 @@ def _weyl(area: float, perimeter: float, t: float, constant: float = 0.0) -> flo
 
 
 def heatkernel(t_list: list[float]) -> list[dict]:
-    """Heat-trace rows; ``t_list`` is positive and sorted largest first."""
+    """Heat-trace rows; ``t_list`` is positive and sorted largest first.  A time
+    above ``HEATKERNEL_T_MAX`` is refused with ``DomainError``."""
+    if t_list[0] > HEATKERNEL_T_MAX:
+        raise DomainError(f"heat-kernel time {t_list[0]!r} exceeds the maximum "
+                          f"{HEATKERNEL_T_MAX} (the unit disk's R^2)")
     # Disk: smooth boundary, constant term +1/6.
     disk = spectral.disk_spectrum(1.0, max(46.0 / min(t_list), 80.0))
     residuals = [spectral.theta_sum(disk, t)[0] - _weyl(math.pi, 2.0 * math.pi, t, 1 / 6)
@@ -54,8 +62,10 @@ def heatkernel(t_list: list[float]) -> list[dict]:
     for i in range(1, len(residuals)):
         prev, cur = abs(residuals[i - 1]), abs(residuals[i])
         ratio = cur / prev
-        rows.append(_row("disk-residual-trend", t_list[i], ratio, "[0.5,0.9]",
-                         0.5 <= ratio <= 0.9 and cur < prev))
+        # The residual falls like sqrt(t); [0.5, 0.9] is the band for halving times.
+        lo, hi = (b * math.sqrt(2.0 * t_list[i] / t_list[i - 1]) for b in (0.5, 0.9))
+        rows.append(_row("disk-residual-trend", t_list[i], ratio, f"[{lo:.3g},{hi:.3g}]",
+                         lo <= ratio <= hi and cur < prev))
     # Annulus: the hole cancels the constant term.
     ann = spectral.annulus_spectrum(1.0, 2.0, 320.0)
     resid = spectral.theta_sum(ann, 0.05)[0] - _weyl(3.0 * math.pi, 6.0 * math.pi, 0.05)

@@ -201,23 +201,16 @@ SOLVE_COLUMNS = ["stat", "z", "lambda", "T", "N", *VALIDITY_COLUMNS]
 @click.option("--T", "temperature", type=float, required=True)
 @click.option("--Lz", "length_z", type=float, default=None,
               help="tube length; switches to the 3-D tube equations")
-@click.option("--tol", type=float, default=1e-12, show_default=True)
-@click.option("--warn-wavelength", type=float, default=eos.WARN_WAVELENGTH_RATIO,
-              show_default=True)
-@click.option("--warn-boundary", type=float, default=eos.WARN_BOUNDARY_RATIO,
-              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
 @click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True))
-def cmd_solve(stat, shape, n_particles, temperature, length_z, tol,
-              warn_wavelength, warn_boundary, fmt, out):
+def cmd_solve(stat, shape, n_particles, temperature, length_z, fmt, out):
     """Solve the fugacity; exit 0 clean, 2 warned, 3 invalid, 4 accuracy.
 
     Columns: stat, z, lambda, T, N, ratio_wavelength, ratio_boundary,
     ratio_topology, fermi_extension_used, warnings.
     """
     state, report = eos.solve_fugacity(
-        StatKind(stat), _container(shape, length_z), n_particles, temperature, tol,
-        warn_wavelength=warn_wavelength, warn_boundary=warn_boundary,
+        StatKind(stat), _container(shape, length_z), n_particles, temperature
     )
     row = {"stat": stat, "z": state.z, "lambda": state.lam, "T": state.T, "N": state.N,
            **_validity_columns(report)}
@@ -324,7 +317,8 @@ def cmd_oracle(shape, cutoff, out):
 def cmd_verify(suite, t_list_text, report_path):
     """Run oracle comparisons; exit 0 iff every non-informational row passes.
 
-    Columns: case, t, measured, tolerance, status (pass/fail/info).
+    Columns: case, t, measured, tolerance, status (pass/fail/info).  Heat-kernel
+    times above 1, the unit disk's R^2, are outside the model and exit 3.
     """
     from . import certify
 

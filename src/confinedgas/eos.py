@@ -63,13 +63,14 @@ __all__ = [
 ]
 
 #: Bose fugacities are refused within this margin of the condensation point.
+#: The series kernel raises AccuracyError past about 1 - z = 1e-5; an expansion
+#: of h about z = 1 (ROADMAP item 2) is what lets the solver reach this margin.
 BOSE_CONDENSATION_MARGIN = 1e-12
 
-#: Default validity thresholds (tunable per call and from the CLI).
+#: Validity warning thresholds: lam/sqrt(area), |boundary term|/|bulk term|
+#: and, for tubes, a length_z/sqrt(area) below which a tube is flagged.
 WARN_WAVELENGTH_RATIO = 0.2
 WARN_BOUNDARY_RATIO = 0.5
-
-#: Tubes shorter than this many sqrt(area) are flagged (fixed, not tunable).
 WARN_ASPECT_RATIO = 100.0
 
 _EPS = math.ulp(1.0)
@@ -272,9 +273,6 @@ def solve_fugacity(
     N: float,
     T: float,
     tol: float = 1e-12,
-    *,
-    warn_wavelength: float = WARN_WAVELENGTH_RATIO,
-    warn_boundary: float = WARN_BOUNDARY_RATIO,
 ) -> tuple[GasState, ValidityReport]:
     """Solve the particle-number equation for the fugacity z.
 
@@ -286,12 +284,12 @@ def solve_fugacity(
     tol :
         Relative residual target: |N(z) - N| <= tol * N at the returned z,
         up to the certified error of the h values that N(z) sums.
-    warn_wavelength, warn_boundary :
-        Validity warning thresholds; NaN is refused.
 
     Returns
     -------
     (GasState, ValidityReport)
+        The report compares its ratios with the fixed ``WARN_*`` thresholds,
+        so it is a function of the solved state alone.
 
     Raises
     ------
@@ -329,11 +327,6 @@ def solve_fugacity(
         raise DomainError(f"particle number must be positive, got {N}")
     if not (tol > 0.0) or not math.isfinite(tol):
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if math.isnan(warn_wavelength) or math.isnan(warn_boundary):
-        raise DomainError(
-            f"warning thresholds must be numbers, got wavelength {warn_wavelength} "
-            f"and boundary {warn_boundary}"
-        )
     lam = thermal_wavelength(T)
     bose = stat is StatKind.BOSE
     weights, shift, area = _model(container, lam)
@@ -475,15 +468,15 @@ def solve_fugacity(
     fermi_ext = (stat is StatKind.FERMI) and z_star > 1.0 + 8e-15
 
     messages: list[str] = []
-    if ratio_wavelength > warn_wavelength:
+    if ratio_wavelength > WARN_WAVELENGTH_RATIO:
         messages.append(
             f"wavelength: lambda/sqrt(area) = {ratio_wavelength:.4g} exceeds "
-            f"threshold {warn_wavelength:.4g}"
+            f"threshold {WARN_WAVELENGTH_RATIO:.4g}"
         )
-    if ratio_boundary > warn_boundary:
+    if ratio_boundary > WARN_BOUNDARY_RATIO:
         messages.append(
             f"boundary: |boundary term|/|bulk term| = {ratio_boundary:.4g} exceeds "
-            f"threshold {warn_boundary:.4g}"
+            f"threshold {WARN_BOUNDARY_RATIO:.4g}"
         )
     ratio_aspect = container.length_z / math.sqrt(area) if shift else math.inf
     if ratio_aspect < WARN_ASPECT_RATIO:

@@ -12,11 +12,14 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import confinedgas
 from confinedgas import spectral
 from confinedgas.cli import main
 from confinedgas.errors import ConvergenceError, TruncationError
+from confinedgas.geometry import make_domain, parse_shape
 
 
 def run(*args):
@@ -102,10 +105,6 @@ class TestMalformedInput:
               "--T-grid", "100:200:3", "--Lz", "-5"), "GeometryError"),
             (("table", "--stat", "fermi", "--shape", "disk:1", "--N", "10",
               "--T-grid", "100:200:3", "--Lz", "5"), "GeometryError"),
-            (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
-              "--tol", "nan"), "DomainError"),
-            (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
-              "--tol", "inf"), "DomainError"),
             (("verify", "--suite", "heatkernel", "--t-list", "0.1,x"), "DomainError"),
             (("specfun", "--stat", "fermi", "--order", "1/0", "--z", "1"), "DomainError"),
             (("oracle", "--shape", "rect:1,1", "--cutoff", "inf"), "DomainError"),
@@ -115,10 +114,6 @@ class TestMalformedInput:
             (("verify", "--suite", "heatkernel", "--t-list", "0,0.1"), "DomainError"),
             (("verify", "--suite", "heatkernel", "--t-list", "nan"), "DomainError"),
             (("verify", "--suite", "heatkernel", "--t-list", "0.1,0.1"), "DomainError"),
-            (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
-              "--warn-wavelength", "nan"), "DomainError"),
-            (("solve", "--stat", "bose", "--shape", "disk:1", "--N", "5", "--T", "100",
-              "--warn-boundary", "nan"), "DomainError"),
             (("specfun", "--stat", "bose", "--order", "1.4999999", "--z", "0.5"),
              "DomainError"),
             (("table", "--stat", "bose", "--shape", "disk:1", "--N", "5",
@@ -148,6 +143,9 @@ class TestMalformedInput:
         (("--bogus", "solve", *SOLVE), "NoSuchOption"),
         (("solvee", *SOLVE), "NoSuchCommand"),
         ((), "UsageError"),
+        (("solve", *SOLVE, "--tol", "1e-8"), "NoSuchOption"),
+        (("solve", *SOLVE, "--warn-wavelength", "0.5"), "NoSuchOption"),
+        (("solve", *SOLVE, "--warn-boundary", "0.5"), "NoSuchOption"),
     ])
     def test_command_line_errors_exit_3_with_json_diagnostic(self, args, error):
         """What click rejects leaves like a library refusal: exit 3 and one
@@ -245,6 +243,53 @@ class TestSolve:
         assert (result.returncode, result.stderr) == (code, "")
         warnings = parse_csv(result.stdout)[0]["warnings"]
         assert warnings.startswith("aspect:") if code else warnings == ""
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    stat=st.sampled_from(("bose", "fermi")),
+    shape=st.sampled_from(("disk:1", "rect:2,0.5", "annulus:0.5,1.5")),
+    aspect=st.none() | st.floats(20.0, 400.0),
+    log10_ratio=st.floats(-2.5, 0.5),
+    log10_fill=st.floats(-4.0, 1.5),
+)
+@example(stat="bose", shape="disk:1", aspect=None, log10_ratio=-2.0, log10_fill=-1.0)
+@example(stat="bose", shape="disk:1", aspect=None, log10_ratio=-0.5, log10_fill=-1.0)
+@example(stat="fermi", shape="rect:2,0.5", aspect=30.0, log10_ratio=-2.0, log10_fill=-1.0)
+@example(stat="fermi", shape="annulus:0.5,1.5", aspect=200.0, log10_ratio=-2.0,
+         log10_fill=0.0)
+def test_solve_agrees_with_one_point_table(stat, shape, aspect, log10_ratio, log10_fill):
+    """solve and table share one residual target and one set of validity
+    thresholds: on every plane or tube state that solve solves, clean or
+    warned, the table row at the grid T:T:1 has the same z, lambda and
+    warnings columns, and the same exit code.
+
+    The one exception is table's own thermodynamics: on some warned states
+    far outside the validity region (lambda/sqrt(area) near 1 and above)
+    ln Xi or a closed form is refused, so the row is an error row.  A clean
+    state is never refused there."""
+    area = make_domain(parse_shape(shape)).area
+    lam = 10.0**log10_ratio * math.sqrt(area)
+    T = 2.0 * math.pi / lam**2
+    N = 10.0**log10_fill * area / lam**2
+    tube = ()
+    if aspect is not None:
+        length_z = aspect * math.sqrt(area)
+        N *= length_z / lam
+        tube = ("--Lz", repr(length_z))
+    common = ("--stat", stat, "--shape", shape, "--N", repr(N), *tube)
+    solved = run("solve", *common, "--T", repr(T))
+    if solved.exit_code not in (0, 2):
+        return
+    tabled = run("table", *common, "--T-grid", f"{T!r}:{T!r}:1")
+    want, got = parse_csv(solved.output)[0], parse_csv(tabled.output)[0]
+    if got["status"] != "ok":
+        assert solved.exit_code == 2, (solved.output, tabled.output)
+        assert got["status"] in ("error:ModelError", "error:SingularityError"), got
+        return
+    assert tabled.exit_code == solved.exit_code, (solved.output, tabled.output)
+    for column in ("z", "lambda", "warnings"):
+        assert got[column] == want[column], column
 
 
 class TestSolverTerminates:
@@ -412,6 +457,28 @@ class TestVerify:
             ("dzdT-2d-fd", "", "9.9999999999999995e-07", "pass"),
             ("CV-2d-fd", "", "0.0001", "pass"),
         ]
+
+    @pytest.mark.parametrize("t_list, bands", [
+        ("0.1,0.01", ["[0.224,0.402]"]),
+        ("0.1,0.099", ["[0.704,1.27]"]),
+        ("0.1,0.05,0.01", ["[0.5,0.9]", "[0.316,0.569]"]),
+        ("1,0.5", ["[0.5,0.9]"]),
+    ])
+    def test_trend_band_follows_the_time_ratio(self, t_list, bands):
+        """The residual falls like sqrt(t), so the trend band scales with
+        sqrt(2 t_i / t_(i-1)); valid time lists pass."""
+        result = run("verify", "--suite", "heatkernel", "--t-list", t_list)
+        assert result.exit_code == 0, result.output
+        trend = [r for r in parse_csv(result.output) if r["case"] == "disk-residual-trend"]
+        assert [r["tolerance"] for r in trend] == bands
+
+    @pytest.mark.parametrize("t_list", ["5,1", "1e300", "1.0000000000000002,0.1"])
+    def test_times_past_the_maximum_exit_3(self, t_list):
+        """The small-t expansion ends at the unit disk's R^2 = 1: larger
+        times are model-invalid input, not accuracy failures."""
+        result = run("verify", "--suite", "heatkernel", "--t-list", t_list)
+        assert result.exit_code == 3, result.output
+        assert json.loads(result.output)["error"] == "DomainError"
 
     def test_heatkernel_suite_alone(self):
         result = run("verify", "--suite", "heatkernel", "--t-list", "0.1,0.05")

@@ -261,9 +261,6 @@ class TestSolveFugacity:
         for tol in (0.0, -1e-12, math.nan, math.inf):
             with pytest.raises(DomainError):
                 solve_fugacity(BOSE, dom, N=1.0, T=10.0, tol=tol)
-        for thresholds in ({"warn_wavelength": math.nan}, {"warn_boundary": math.nan}):
-            with pytest.raises(DomainError, match="warning thresholds"):
-                solve_fugacity(BOSE, dom, N=1.0, T=10.0, **thresholds)
 
     def test_warnings_carry_thresholds(self):
         dom = make_domain(Disk(1.0))
