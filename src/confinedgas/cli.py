@@ -26,7 +26,6 @@ import sys
 from typing import NoReturn
 
 import click
-import numpy as np
 
 from . import eos, thermo
 from .errors import AccuracyError, ConfinedGasError, DomainError, GeometryError
@@ -101,7 +100,12 @@ def _parse_order(text: str) -> Order:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """lo:hi:n, closed on both endpoints with n points."""
+    """lo:hi:n, closed on both endpoints with n points.
+
+    The points are numpy.linspace's, bit for bit: lo + i*step with
+    step = (hi - lo)/(n - 1), or (i/(n - 1))*(hi - lo) + lo when the step
+    underflows to zero, and hi itself last.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise DomainError(f"grid {text!r}: expected lo:hi:n")
@@ -118,7 +122,14 @@ def _parse_grid(text: str) -> list[float]:
         raise DomainError(f"grid {text!r}: at most {MAX_GRID_POINTS} points")
     if n == 1:
         return [lo]
-    return list(np.linspace(lo, hi, n))
+    div = n - 1
+    span = hi - lo
+    step = span / div
+    if step == 0.0:
+        points = [(i / div) * span + lo for i in range(div)]
+    else:
+        points = [i * step + lo for i in range(div)]
+    return [*points, hi]
 
 
 def _container(shape: str, length_z: float | None):
@@ -207,11 +218,12 @@ def cmd_solve(stat, shape, n_particles, temperature, length_z, fmt, out):
     """Solve the fugacity; exit 0 clean, 2 warned, 3 invalid, 4 accuracy.
 
     Columns: stat, z, lambda, T, N, ratio_wavelength, ratio_boundary,
-    ratio_topology, fermi_extension_used, warnings.
+    ratio_topology, fermi_extension_used, warnings.  A solved state whose
+    ln Xi is negative is refused with ModelError, as table refuses it.
     """
-    state, report = eos.solve_fugacity(
-        StatKind(stat), _container(shape, length_z), n_particles, temperature
-    )
+    kind, container = StatKind(stat), _container(shape, length_z)
+    state, report = eos.solve_fugacity(kind, container, n_particles, temperature)
+    eos.log_grand_potential(kind, container, state.lam, state.z)
     row = {"stat": stat, "z": state.z, "lambda": state.lam, "T": state.T, "N": state.N,
            **_validity_columns(report)}
     _emit([row], SOLVE_COLUMNS, fmt, out)

@@ -33,6 +33,9 @@ The routes are private helpers that only ``h_orders`` calls, after its one
 domain check.  The caps are fixed: Fermi z up to ``FERMI_Z_MAX`` and at
 most ``SERIES_TERM_CAP`` series terms.
 
+Importing this module does not load numpy: the series route imports it at
+its first call, so closed forms and Fermi inversion run without it.
+
 All functions are pure and thread-safe.
 """
 
@@ -44,8 +47,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import AccuracyError, DomainError
 
@@ -248,6 +249,8 @@ def _series(stat: StatKind, sigma: Order, z: float, tail_bound: float) -> Functi
     ``SERIES_TERM_CAP`` terms raise AccuracyError carrying the bound that
     was actually achieved.
     """
+    import numpy as np
+
     sig = sigma.value
     log_z = math.log(z)
     fermi = stat is StatKind.FERMI
@@ -295,18 +298,9 @@ def _series(stat: StatKind, sigma: Order, z: float, tail_bound: float) -> Functi
 # inversion formulas (Fermi)
 # ---------------------------------------------------------------------------
 
-# Bernoulli numbers B_2, B_4, ..., B_30 for the Euler-Maclaurin sum.
-_BERNOULLI_2J = (
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-    Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-    Fraction(-236364091, 2730), Fraction(8553103, 6), Fraction(-23749461029, 870),
-    Fraction(8615841276005, 14322),
-)
-
 #: Direct terms N and Bernoulli terms M of the Euler-Maclaurin Hurwitz zeta.
 _EM_DIRECT = 6
-_EM_BERNOULLI = len(_BERNOULLI_2J)
+_EM_BERNOULLI = 15
 _EM_SHIFTS = tuple(0.5 + k for k in range(_EM_DIRECT))
 
 #: Rounding allowance per unit of eps * sum|terms|: <= 16 per term (square
@@ -321,14 +315,6 @@ _LANDEN_TERM_CAP = 48
 _PI2_6 = math.pi**2 / 6.0
 
 
-def _rising(x: Fraction, n: int) -> Fraction:
-    """Pochhammer symbol (x)_n = x (x+1) ... (x+n-1)."""
-    out = Fraction(1)
-    for i in range(n):
-        out *= x + i
-    return out
-
-
 @dataclass(frozen=True)
 class _Jonquiere:
     """Constants of the inversion formula for one half-integer order s.
@@ -336,7 +322,11 @@ class _Jonquiere:
     ``root_power`` is -2 sigma with sigma = 1 - s, so that
     p^(-sigma) = sqrt(p)^root_power; ``bernoulli`` holds the Euler-Maclaurin
     coefficients B_2j/(2j)! (sigma)_(2j-1) highest j first, for Horner,
-    each paired with its modulus.
+    each paired with its modulus.  ``remainder`` bounds the Euler-Maclaurin
+    remainder by 4 |(sigma)_2M| / (2 pi)^2M (N + 1/2)^(1-sigma-2M) /
+    (sigma + 2M - 1) (Johansson, Numer. Algorithms 69 (2015) 253,
+    Theorem 1, with |a + t| >= Re(a) + t = t + 1/2 for every Im(a)), and
+    ``prefactor`` is (2 pi)^s e^(i pi s/2) / Gamma(s).
     """
 
     sigma: float
@@ -346,30 +336,43 @@ class _Jonquiere:
     prefactor: complex
 
 
-def _jonquiere(order: Order) -> _Jonquiere:
-    s = Fraction(order.twice, 2)
-    sigma = 1 - s
-    n, m = _EM_DIRECT, _EM_BERNOULLI
-    coefs = [
-        float(b / math.factorial(2 * j) * _rising(sigma, 2 * j - 1))
-        for j, b in enumerate(_BERNOULLI_2J, start=1)
-    ]
-    # Johansson, Numer. Algorithms 69 (2015) 253, Theorem 1, with
-    # |a + t| >= Re(a) + t = t + 1/2 for every Im(a).
-    remainder = (
-        4.0 * abs(float(_rising(sigma, 2 * m))) / (2.0 * math.pi) ** (2 * m)
-        * (n + 0.5) ** float(1 - sigma - 2 * m) / float(sigma + 2 * m - 1)
-    )
-    # (2 pi)^s e^(i pi s/2) / Gamma(s); e^(i pi s/2) = (+-1 +-i)/sqrt(2) exactly.
-    quarter = order.twice % 8
-    phase = complex(1.0 if quarter in (1, 7) else -1.0, 1.0 if quarter in (1, 3) else -1.0)
-    scale = (2.0 * math.pi) ** float(s) / (math.sqrt(2.0) * math.gamma(float(s)))
-    return _Jonquiere(float(sigma), order.twice - 2,
-                      tuple((coef, abs(coef)) for coef in reversed(coefs)), remainder,
-                      scale * phase)
+def _jonquiere(twice: int, remainder: float, re: float, im: float, coefs) -> _Jonquiere:
+    return _Jonquiere(1.0 - twice / 2, twice - 2, tuple((c, abs(c)) for c in coefs),
+                      remainder, complex(re, im))
 
 
-_JONQUIERE = {o.twice: _jonquiere(o) for o in (MINUS_HALF, HALF, THREE_HALVES, FIVE_HALVES)}
+#: The constants of the orders 2s = -1, 1, 3, 5 as float literals, so that
+#: importing the module does no exact arithmetic: (2s, remainder, prefactor,
+#: B_2j/(2j)! (sigma)_(2j-1) for j = M down to 1).  ``test_bernoulli_constants``
+#: rebuilds each from mpmath's exact Bernoulli numbers.
+_JONQUIERE = {
+    -1: _jonquiere(-1, 3.96781662955239e-17, -0.07957747154594767, 0.07957747154594767, (
+        123418133.92325307, -5795245.488654276, 313944.59564711817, -19838.393606536512,
+        1481.2076169563647, -132.67334021783245, 14.519053437106777, -1.9850937710143626,
+        0.34870728850364685, -0.08159381548563639, 0.026696523030598957, -0.013092041015625,
+        0.0107421875, -0.018229166666666668, 0.125,
+    )),
+    1: _jonquiere(1, 4.371323405439074e-18, 0.9999999999999998, 0.9999999999999998, (
+        2091832.7783602215, -105368.09979371411, 6155.776385237611, -422.0934809901385,
+        34.44668876642709, -3.40188051840596, 0.4148300982030508, -0.06403528293594718,
+        0.012915084759394327, -0.003547557195027669, 0.0014050801595052083,
+        -0.000872802734375, 0.0009765625, -0.0026041666666666665, 0.041666666666666664,
+    )),
+    3: _jonquiere(3, 4.984842479886663e-19, -12.56637061435917, 12.56637061435917, (
+        -36698.820672986345, 1988.0773545983795, -125.62808949464512, 9.379855133114189,
+        -0.8401631406445631, 0.0919427167136746, -0.012570609036456085,
+        0.002208113204687834, -0.0005166033903757731, 0.00016893129500131758,
+        -8.265177408854167e-05, 6.7138671875e-05, -0.00010850694444444444,
+        0.0005208333333333333, -0.041666666666666664,
+    )),
+    5: _jonquiere(5, 1.7673532428689073e-19, -52.63789013914323, -52.63789013914323, (
+        2001.7538548901641, -116.94572674108115, 8.018814223062455, -0.6544084976591295,
+        0.06462793389573562, -0.007880804289743536, 0.0012165105519151048,
+        -0.00024534591163198155, 6.73830509185791e-05, -2.667336236862909e-05,
+        1.6530354817708332e-05, -1.8310546875e-05, 4.650297619047619e-05,
+        -0.0005208333333333333, -0.125,
+    )),
+}
 
 
 class _Nodes(NamedTuple):

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import SingularityError
 from .eos import (
     GasState,
@@ -121,7 +119,34 @@ def _guard(name: str, value: float) -> float:
 
 
 def _cbrt(x: float) -> float:
-    return float(np.cbrt(x))
+    """The cube root of x, correctly rounded; +-0, +-inf and nan map to
+    themselves.
+
+    |x| = m 8^k with m in [1/2, 4), so the root is cbrt(m) 2^k, and the
+    scaling is exact: cbrt(m) lies in [0.79, 1.59) and the root of any
+    double is a normal double.  m^(1/3) and one Newton step land within an
+    ulp of cbrt(m); the loop then moves to the float whose midpoints with
+    its neighbours have cubes on either side of m.  The midpoints are
+    integers in units of 2^-55, half an ulp (2 units below 1, 4 from 1 up)
+    from r, and the comparison is exact; no midpoint's cube is a double,
+    so there are no ties.
+    """
+    if x == 0.0 or not math.isfinite(x):
+        return x
+    frac, exp = math.frexp(abs(x))
+    k, rem = divmod(exp, 3)
+    m = math.ldexp(frac, rem)
+    r = m ** (1.0 / 3.0)
+    r -= (r - m / (r * r)) / 3.0
+    target = int(math.ldexp(m, 53)) << 112
+    while True:
+        units = int(math.ldexp(r, 55))
+        if (units - (2 if r <= 1.0 else 4)) ** 3 > target:
+            r = math.nextafter(r, 0.0)
+        elif (units + (2 if r < 1.0 else 4)) ** 3 < target:
+            r = math.nextafter(r, 4.0)
+        else:
+            return math.copysign(math.ldexp(r, k), x)
 
 
 def _no_overflow(z: float, form, *args):
@@ -243,6 +268,7 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:
     L, O, r = dom.perimeter, dom.area, dom.holes
     lz = tube.length_z
     one_r = 1.0 - r
+    cbrt_h32 = _cbrt(h[THREE_HALVES])
 
     # xi5: the (1-r)^2 factor kills the L-division for one-hole sections.
     if one_r == 0.0:
@@ -275,7 +301,7 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:
         * (lz ** (1.0 / 3.0) * L / O ** (2.0 / 3.0))
         * (h[ONE] / h[THREE_HALVES] ** (2.0 / 3.0)) * _cbrt(xi3)
         + one_r / (18.0 * N ** (2.0 / 3.0)) * (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0))
-        * (h[HALF] / _cbrt(h[THREE_HALVES])) / _cbrt(_guard("xi4", xi4))
+        * (h[HALF] / cbrt_h32) / _cbrt(_guard("xi4", xi4))
     )
 
     sigma3_bracket = (
@@ -298,12 +324,12 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:
         - (1.0 / (6.0 * N ** (1.0 / 3.0))) * (lz ** (1.0 / 3.0) * L / O ** (2.0 / 3.0))
         * (h[ONE] / h[THREE_HALVES] ** (2.0 / 3.0)) / cbrt_s3
         + one_r / (18.0 * N ** (2.0 / 3.0)) * (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0))
-        * (h[HALF] / _cbrt(h[THREE_HALVES])) / cbrt_s3**2
+        * (h[HALF] / cbrt_h32) / cbrt_s3**2
     )
     eta_den = (
         1.0
         - (1.0 / (4.0 * N ** (1.0 / 3.0))) * (lz ** (1.0 / 3.0) * L / O ** (2.0 / 3.0))
-        * (_cbrt(h[THREE_HALVES]) * h[ZERO] / h[HALF]) / cbrt_s3
+        * (cbrt_h32 * h[ZERO] / h[HALF]) / cbrt_s3
         + one_r / (6.0 * N ** (2.0 / 3.0)) * (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0))
         * (h[THREE_HALVES] ** (2.0 / 3.0) * h[MINUS_HALF] / h[HALF]) / cbrt_s3**2
     )

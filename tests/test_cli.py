@@ -6,10 +6,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import confinedgas
 from confinedgas import spectral
-from confinedgas.cli import main
+from confinedgas.cli import MAX_GRID_POINTS, _parse_grid, main
 from confinedgas.errors import ConvergenceError, TruncationError
 from confinedgas.geometry import make_domain, parse_shape
 
@@ -26,14 +28,14 @@ def run(*args):
     return CliRunner().invoke(main, list(args))
 
 
-def run_process(*args, **env):
+def run_process(*args, entry=("-m", "confinedgas.cli"), **env):
     """Run the CLI in its own process (with extra environment variables)
     under a timeout, so a command that never returns fails the test instead
-    of hanging the suite."""
+    of hanging the suite.  ``entry`` is what the interpreter runs."""
     src = str(Path(confinedgas.__file__).resolve().parents[1])
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, "-m", "confinedgas.cli", *args], env=env,
+    return subprocess.run([sys.executable, *entry, *args], env=env,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -228,6 +230,15 @@ class TestSolve:
         assert result.exit_code == 3, result.output
         assert json.loads(result.output.strip().splitlines()[-1])["error"] == "ModelError"
 
+    def test_negative_ln_xi_is_a_model_error(self):
+        """The solver meets its residual here, but ln Xi at z* is negative:
+        solve refuses the state, as table's row does."""
+        result = run("solve", "--stat", "bose", "--shape", "disk:1",
+                     "--N", "0.316227766016838", "--T", "0.632455532033676")
+        assert result.exit_code == 3, result.output
+        error = json.loads(result.output.strip().splitlines()[-1])
+        assert error["error"] == "ModelError" and error["message"].startswith("ln Xi = -0.0058")
+
     def test_tube_solve(self):
         result = run("solve", "--stat", "fermi", "--shape", "disk:1",
                      "--N", "2000", "--T", "100", "--Lz", "500")
@@ -258,16 +269,19 @@ class TestSolve:
 @example(stat="fermi", shape="rect:2,0.5", aspect=30.0, log10_ratio=-2.0, log10_fill=-1.0)
 @example(stat="fermi", shape="annulus:0.5,1.5", aspect=200.0, log10_ratio=-2.0,
          log10_fill=0.0)
+@example(stat="bose", shape="disk:1", aspect=None, log10_ratio=0.25, log10_fill=0.0)
 def test_solve_agrees_with_one_point_table(stat, shape, aspect, log10_ratio, log10_fill):
-    """solve and table share one residual target and one set of validity
-    thresholds: on every plane or tube state that solve solves, clean or
-    warned, the table row at the grid T:T:1 has the same z, lambda and
-    warnings columns, and the same exit code.
+    """solve and table share one residual target, one set of validity
+    thresholds and one ln Xi check: on every plane or tube state that solve
+    solves, clean or warned, the table row at the grid T:T:1 has the same z,
+    lambda and warnings columns, and the same exit code; a state that solve
+    refuses is an error row.  The last example (T = 0.632455532033676,
+    N = 0.316227766016838 on disk:1) has ln Xi < 0, and both refuse it.
 
-    The one exception is table's own thermodynamics: on some warned states
-    far outside the validity region (lambda/sqrt(area) near 1 and above)
-    ln Xi or a closed form is refused, so the row is an error row.  A clean
-    state is never refused there."""
+    The one exception is table's closed forms: on some warned states far
+    outside the validity region (lambda/sqrt(area) near 1 and above) one of
+    them is singular, so the row is an error row.  A clean state is never
+    refused there."""
     area = make_domain(parse_shape(shape)).area
     lam = 10.0**log10_ratio * math.sqrt(area)
     T = 2.0 * math.pi / lam**2
@@ -279,13 +293,15 @@ def test_solve_agrees_with_one_point_table(stat, shape, aspect, log10_ratio, log
         tube = ("--Lz", repr(length_z))
     common = ("--stat", stat, "--shape", shape, "--N", repr(N), *tube)
     solved = run("solve", *common, "--T", repr(T))
-    if solved.exit_code not in (0, 2):
-        return
     tabled = run("table", *common, "--T-grid", f"{T!r}:{T!r}:1")
-    want, got = parse_csv(solved.output)[0], parse_csv(tabled.output)[0]
+    got = parse_csv(tabled.output)[0]
+    if solved.exit_code not in (0, 2):
+        assert got["status"].startswith("error:"), (solved.output, tabled.output)
+        return
+    want = parse_csv(solved.output)[0]
     if got["status"] != "ok":
         assert solved.exit_code == 2, (solved.output, tabled.output)
-        assert got["status"] in ("error:ModelError", "error:SingularityError"), got
+        assert got["status"] == "error:SingularityError", got
         return
     assert tabled.exit_code == solved.exit_code, (solved.output, tabled.output)
     for column in ("z", "lambda", "warnings"):
@@ -487,3 +503,54 @@ class TestVerify:
         corner = [r for r in rows if r["case"] == "square-corner-constant"]
         assert corner and corner[0]["status"] == "info"
         assert float(corner[0]["measured"]) == pytest.approx(0.250, abs=0.005)
+
+
+def test_grid_points_are_linspace_bit_for_bit():
+    """lo:hi:n gives numpy.linspace's points as Python floats, bit for bit:
+    seeded grids of every magnitude, spans whose step underflows to zero,
+    n = 1, 2 and the largest grid."""
+    rng = random.Random(17)
+    cases = [(0.0, 1.0, MAX_GRID_POINTS), (-3.5, 1e-3, 1), (-3.5, 1e-3, 2), (2.5, 2.5, 4),
+             (0.0, 5e-324, 3), (5e-324, 1e-323, 1000), (1e-310, -1e-310, 7), (-0.0, 0.0, 3)]
+    for _ in range(3000):
+        lo = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320.0, 300.0)
+        if rng.random() < 0.3:
+            hi = lo + rng.randint(-40, 40) * 5e-324
+        else:
+            hi = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-320.0, 300.0)
+        cases.append((lo, hi, rng.choice((1, 2, 3, rng.randint(1, 50), rng.randint(1, 3000)))))
+    for lo, hi, n in cases:
+        got = _parse_grid(f"{lo!r}:{hi!r}:{n}")
+        assert all(type(v) is float for v in got), (lo, hi, n)
+        want = [float(v) for v in np.linspace(lo, hi, n)]
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), (lo, hi, n)
+
+
+#: Commands whose every h evaluation is a closed form or a Fermi inversion
+#: (z > 0.99): three degenerate tube tables (21 rows), a specfun grid and a
+#: solve.
+DEGENERATE_FERMI = [
+    ("table", "--stat", "fermi", "--shape", "disk:1", "--N", "20000",
+     "--T-grid", "4:10:7", "--Lz", "500"),
+    ("table", "--stat", "fermi", "--shape", "annulus:1,2", "--N", "50000",
+     "--T-grid", "3:9:7", "--Lz", "600"),
+    ("table", "--stat", "fermi", "--shape", "rect:2,1", "--N", "30000",
+     "--T-grid", "2:8:7", "--Lz", "400", "--format", "jsonl"),
+    ("specfun", "--stat", "fermi", "--order", "3/2", "--z-grid", "1:1000:9"),
+    ("solve", "--stat", "fermi", "--shape", "disk:1", "--N", "1000", "--T", "500"),
+]
+
+BLOCK_NUMPY = ("import sys; sys.modules['numpy'] = None\n"
+               "from confinedgas.cli import main; main()")
+
+
+@pytest.mark.parametrize("args", DEGENERATE_FERMI, ids=lambda args: "-".join(args[:5]))
+def test_degenerate_fermi_runs_without_numpy(args):
+    """Closed forms and Fermi inversion need no numpy: with its import
+    blocked, these commands print the same bytes and exit with the same
+    code as with it."""
+    free = run_process(*args)
+    assert free.returncode in (0, 2) and free.stderr == "", free.stderr
+    blocked = run_process(*args, entry=("-c", BLOCK_NUMPY))
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+        free.returncode, free.stdout, free.stderr)

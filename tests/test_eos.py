@@ -552,26 +552,42 @@ def test_model_weights_sum_to_the_state_sum(shape, log10_scale, log10_ratio):
             weyl_state_sum(dom, lam)
 
 
-def test_scipy_stays_off_the_import_path():
-    """Only the spectral oracle loads scipy; the rest of the package and the
-    CLI start without it, and the CLI loads the verify checks only to run
-    them."""
+def _loaded_after_import(*modules):
+    """The names in sys.modules after a fresh interpreter imports ``modules``."""
     probe = (
         "import sys, importlib\n"
         "for name in sys.argv[1:]:\n"
         "    importlib.import_module(name)\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[0] == 'scipy' or m == 'confinedgas.certify'))\n"
+        "print(' '.join(sorted(sys.modules)))\n"
     )
     src = str(Path(eos.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", probe, *modules], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_scipy_stays_off_the_import_path():
+    """Only the spectral oracle loads scipy; the rest of the package and the
+    CLI start without it, and the CLI loads the verify checks only to run
+    them."""
 
     def loaded_lazy(*modules):
-        return subprocess.run([sys.executable, "-c", probe, *modules], env=env, check=True,
-                              capture_output=True, text=True).stdout.strip()
+        return [m for m in _loaded_after_import(*modules)
+                if m.split('.')[0] == 'scipy' or m == 'confinedgas.certify']
 
-    assert loaded_lazy("confinedgas.cli") == "[]"
-    assert loaded_lazy("confinedgas.geometry", "confinedgas.thermo") == "[]"
+    assert loaded_lazy("confinedgas.cli") == []
+    assert loaded_lazy("confinedgas.geometry", "confinedgas.thermo") == []
     assert "scipy.special" in loaded_lazy("confinedgas.spectral")
     assert "confinedgas.certify" in loaded_lazy("confinedgas.certify")
+
+
+@pytest.mark.parametrize("modules", [
+    ("confinedgas",), ("confinedgas.cli",), ("confinedgas.geometry", "confinedgas.thermo"),
+])
+def test_numpy_stays_off_the_import_path(modules):
+    """The package, the CLI and the closed-form thermodynamics start without
+    numpy; the series route loads it at its first call."""
+    loaded = _loaded_after_import(*modules)
+    assert "confinedgas.thermo" in loaded
+    assert "numpy" not in loaded

@@ -30,6 +30,7 @@ from confinedgas.statfun import (
 from conftest import de_quad_h, de_quad_h_lowered
 
 BOSE, FERMI = StatKind.BOSE, StatKind.FERMI
+EPS = 2.0**-52
 
 ZETA_32 = 2.6123753486854883
 ZETA_2 = 1.6449340668482264
@@ -194,8 +195,35 @@ class TestQuadratureAndRecurrence:
                     sigma, z, err, got.abs_error_bound)
 
     def test_bernoulli_constants(self):
-        for j, b in enumerate(statfun._BERNOULLI_2J, start=1):
-            assert b == Fraction(*(int(v) for v in mp.bernfrac(2 * j))), j
+        """The shipped Euler-Maclaurin coefficients are the floats of the exact
+        B_2j/(2j)! (sigma)_(2j-1), with B_2j from mpmath, and the prefactors
+        match mpmath to within 4 eps relative.  The remainder bounds, which
+        float arithmetic rounded 4.5-6 eps high, are at least mpmath's value
+        and within 8 eps of it."""
+        n, m = statfun._EM_DIRECT, statfun._EM_BERNOULLI
+        for twice, c in statfun._JONQUIERE.items():
+            s = Fraction(twice, 2)
+            sigma = 1 - s
+            rising = [Fraction(1)]
+            for i in range(2 * m):
+                rising.append(rising[-1] * (sigma + i))
+            want = [
+                float(Fraction(*(int(v) for v in mp.bernfrac(2 * j)))
+                      / math.factorial(2 * j) * rising[2 * j - 1])
+                for j in range(m, 0, -1)
+            ]
+            assert [coef for coef, _ in c.bernoulli] == want, twice
+            assert [size for _, size in c.bernoulli] == [abs(v) for v in want], twice
+            assert (c.sigma, c.root_power) == (float(sigma), twice - 2)
+            with mp.workdps(40):
+                sig = mp.mpf(float(sigma))
+                remainder = (4 * abs(mp.mpf(rising[2 * m].numerator) / rising[2 * m].denominator)
+                             / (2 * mp.pi) ** (2 * m)
+                             * mp.mpf(n + 0.5) ** (1 - sig - 2 * m) / (sig + 2 * m - 1))
+                prefactor = ((2 * mp.pi) ** mp.mpf(float(s)) * mp.expjpi(mp.mpf(float(s)) / 2)
+                             / mp.gamma(mp.mpf(float(s))))
+                assert remainder <= c.remainder <= (1 + 8 * EPS) * remainder, twice
+                assert abs(c.prefactor - prefactor) <= 4 * EPS * abs(prefactor), twice
 
     def test_large_z_cap(self):
         """The fixed Fermi cap FERMI_Z_MAX = 1e8 is admissible; above it is not."""

@@ -1,7 +1,10 @@
 """Tests for the corrected thermodynamic closed forms."""
 
 import math
+import random
+import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from confinedgas.statfun import (
     eval_h,
 )
 from confinedgas.thermo import (
+    _cbrt,
     aux_2d,
     aux_3d,
     dz_dT_2d,
@@ -342,3 +346,23 @@ def test_entropy_identity_holds_or_refuses(stat, shape, tube, aspect, log10_rati
     for value in (rep.state.z, rep.U, rep.F, rep.S, rep.C_V, rep.P):
         assert math.isfinite(value)
     assert abs(rep.S - (rep.U - rep.F) / rep.state.T) <= 1e-12 * abs(rep.S)
+
+
+def test_cbrt_is_correctly_rounded():
+    """_cbrt against mpmath's correctly rounded cube root on seeded draws of
+    both signs and every magnitude, subnormals and exact cubes; +-0, +-inf
+    and nan map to themselves."""
+    rng = random.Random(3)
+    xs = [rng.uniform(0.1, 100.0) for _ in range(2000)]
+    xs += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-307.0, 308.0) for _ in range(2000)]
+    xs += [rng.choice((-1.0, 1.0)) * rng.random() * sys.float_info.min for _ in range(500)]
+    xs += [float(rng.randint(-2**17, 2**17)) ** 3 for _ in range(500)]
+    xs += [2.0**k for k in range(-1074, 1024, 3)]
+    xs += [5e-324, -5e-324, sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+    with mp.workprec(200):
+        for x in xs:
+            want = math.copysign(float(mp.cbrt(mp.mpf(abs(x)))), x)
+            assert _cbrt(x).hex() == want.hex(), x
+    for x in (0.0, -0.0, math.inf, -math.inf):
+        assert _cbrt(x).hex() == x.hex()
+    assert math.isnan(_cbrt(math.nan))
