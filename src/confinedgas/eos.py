@@ -21,20 +21,24 @@ and in the tube
 
 ``solve_fugacity`` seeds the particle-number equation by inverting its bulk
 term (Boltzmann for Bose; exactly in the plane and by the degenerate limit
-in a tube for Fermi), brackets the root by a walk that also decides the
-branch and the refusals (geometric in z and 1 - z for Bose, steps in ln z
-from 1/8 doubling to ln 4 for Fermi), polishes it with ``bracketed_root``
-(regula falsi with the Anderson-Bjorck step), refuses a root it cannot
-resolve because the corrections cancel the bulk term beyond the certified
-error of N(z) (``ModelError``), checks the branch with one z dN/dz sum
-whose certified error settles its sign, and reports how trustworthy the
-asymptotic model is at the solution (wavelength/boundary/topology ratios,
-tube aspect, Fermi z > 1 flag).
+in a tube for Fermi).  Fermi then solves by safeguarded Newton in u = ln z:
+each step is one h_orders call that gives N and z dN/dz = dN/du together,
+and a step that leaves the sign bracket bisects it in u.  Bose brackets the
+root by a walk that also decides the refusals (geometric in z and 1 - z)
+and polishes it with ``bracketed_root`` (regula falsi with the
+Anderson-Bjorck step), which also finishes a Fermi bracket that Newton
+does not.  The solver refuses a root it cannot resolve because the
+corrections cancel the bulk term beyond the certified error of N(z)
+(``ModelError``), checks the branch with a z dN/dz whose certified error
+settles its sign (for Fermi, the one of the final Newton evaluation), and
+reports how trustworthy the asymptotic model is at the solution
+(wavelength/boundary/topology ratios, tube aspect, Fermi z > 1 flag).
+A private ``_solve`` also returns the h values it evaluated at z*, which
+the thermodynamic rows reuse.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +50,7 @@ from .errors import (
     NonMonotoneError,
 )
 from .geometry import PlanarDomain, TubeDomain, thermal_wavelength, weyl_terms
-from .statfun import FERMI_Z_MAX, Order, StatKind, h_orders
+from .statfun import ALL_ORDERS, FERMI_Z_MAX, StatKind, h_orders
 
 __all__ = [
     "GasState",
@@ -75,9 +79,10 @@ WARN_ASPECT_RATIO = 100.0
 
 _EPS = math.ulp(1.0)
 
-#: Growth factors of the Fermi bracket walk: steps of 1/8, 1/4, 1/2 and 1 in
-#: ln z, then ln 4 (a factor 4) for every further step.
-_FERMI_FACTORS = (math.exp(0.125), math.exp(0.25), math.exp(0.5), math.e)
+#: The Fermi Newton step in ln z is capped at ln 4, and a sign bracket takes
+#: at most this many steps before ``bracketed_root`` finishes it.
+_LN4 = math.log(4.0)
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -134,9 +139,10 @@ def _model(container: PlanarDomain | TubeDomain, lam: float):
 
 
 #: The orders of the three terms of a state sum, by twice the shift and the
-#: offset: (1 + offset, 1/2 + offset, offset), raised by shift/2.
+#: offset: (1 + offset, 1/2 + offset, offset), raised by shift/2.  They are
+#: the module's Order constants, so that table lookups match by identity.
 _ORDERS = {
-    (shift, offset): tuple(Order(2 + 2 * offset + shift - k) for k in range(3))
+    (shift, offset): tuple(ALL_ORDERS[4 + 2 * offset + shift - k] for k in range(3))
     for shift in (0, 1)
     for offset in (-1, 0, 1)
 }
@@ -157,37 +163,60 @@ def _terms(weights, shift, offset, h):
     return tuple(w * h[o] if w != 0.0 else 0.0 for w, o in zip(weights, _ORDERS[shift, offset]))
 
 
-def _state_sum(stat, weights, shift, offset, abs_budget=None):
-    """z -> (terms, error): the three terms weight_i * h_(order_i)(z) of one
-    state sum, each evaluation one h_orders call, and the certified error of
-    their sum, sum_i |weight_i| * (bound_i + 4 eps |h_i|), which covers the
-    h bounds and the rounding of the weighted sum.
+def _state_sums(stat, weights, shift, budgets):
+    """(orders, evaluate): the state sums at the offsets of ``budgets``, all
+    from one h_orders call over ``orders``.
 
-    When ``abs_budget`` is given, each series evaluation only needs
-    budget/(4*|weight|) of tail accuracy for the weighted sum to stay within
-    the budget; near the Bose condensation point this is what keeps the
-    series length finite.  Zero weights are skipped outright.
+    ``evaluate(z)`` returns (sums, values): ``sums`` maps each offset to
+    (terms, error), the three terms weight_i * h_(order_i)(z) and the
+    certified error of their sum, sum_i |weight_i| * (bound_i + 4 eps |h_i|),
+    which covers the h bounds and the rounding of the weighted sum;
+    ``values`` holds the FunctionValue of each of ``orders``.
+
+    ``budgets`` maps each offset to an absolute budget or None.  Under a
+    budget each series evaluation only needs budget/(4*|weight|) of tail
+    accuracy for the weighted sum to stay within it; near the Bose
+    condensation point this is what keeps the series length finite.  None
+    keeps the 1e-12 tail target.  An order two sums share is evaluated
+    once, at the tighter target.  Zero weights are skipped outright.
     """
-    live = [i for i, w in enumerate(weights) if w != 0.0]
-    orders = [_ORDERS[shift, offset][i] for i in live]
-    tails = None
-    if abs_budget is not None:
-        tails = [max(1e-15, min(abs_budget / (4.0 * abs(weights[i])), 1e-6)) for i in live]
+    orders, targets, plan = [], [], []
+    for offset, budget in budgets.items():
+        entries = []
+        for i, (w, o) in enumerate(zip(weights, _ORDERS[shift, offset])):
+            if w == 0.0:
+                continue
+            tail = 1e-12 if budget is None else max(1e-15, min(budget / (4.0 * abs(w)), 1e-6))
+            if o in orders:
+                k = orders.index(o)
+                targets[k] = min(targets[k], tail)
+            else:
+                k = len(orders)
+                orders.append(o)
+                targets.append(tail)
+            entries.append((i, w, k))
+        plan.append((offset, entries))
 
-    def terms(z: float) -> tuple[tuple[float, float, float], float]:
-        out = [0.0, 0.0, 0.0]
-        error = 0.0
-        for i, fv in zip(live, h_orders(stat, z, orders, tails)):
-            out[i] = weights[i] * fv.value
-            error += abs(weights[i]) * (fv.abs_error_bound + 4.0 * _EPS * abs(fv.value))
-        return tuple(out), error
+    def evaluate(z: float):
+        values = h_orders(stat, z, orders, targets)
+        sums = {}
+        for offset, entries in plan:
+            terms = [0.0, 0.0, 0.0]
+            error = 0.0
+            for i, w, k in entries:
+                fv = values[k]
+                terms[i] = w * fv.value
+                error += abs(w) * (fv.abs_error_bound + 4.0 * _EPS * abs(fv.value))
+            sums[offset] = (tuple(terms), error)
+        return sums, values
 
-    return terms
+    return orders, evaluate
 
 
 def _weighted_terms(stat, weights, shift, offset, z, abs_budget=None):
-    """(terms, error) of one state sum at z; see ``_state_sum``."""
-    return _state_sum(stat, weights, shift, offset, abs_budget)(z)
+    """(terms, error) of one state sum at z; see ``_state_sums``."""
+    _, evaluate = _state_sums(stat, weights, shift, {offset: abs_budget})
+    return evaluate(z)[0][offset]
 
 
 def _nonnegative(label, value, lam, z):
@@ -267,6 +296,59 @@ def bracketed_root(f, lo: float, f_lo: float, hi: float, f_hi: float,
             side = -1
 
 
+def _fermi_root(probe, N, z, z_cap, target):
+    """Safeguarded Newton in u = ln z for the Fermi residual, from z.
+
+    ``probe(z)`` returns the residual and its slope dN/du = z dN/dz from
+    one h_orders call.  The Newton step -f/(dN/du), capped at ln 4, is
+    taken when the slope is positive and the step lands inside the sign
+    bracket; otherwise the bracket is bisected in u or, while only one of
+    its ends is known, z moves by a factor 4 towards the other.  After
+    ``_NEWTON_STEPS`` steps inside a bracket, or once its bisection point
+    is one of its ends, ``bracketed_root`` finishes the bracket.
+
+    Returns (z, f(z)) as ``bracketed_root`` does.
+    """
+    def residual(x: float) -> float:
+        return probe(x)[0]
+
+    lo = hi = f_lo = f_hi = None
+    steps = 0
+    f, slope = probe(z)
+    while not abs(f) <= target:
+        if f < 0.0:
+            if z >= z_cap:
+                raise NoBracketError(
+                    f"N = {N:.6g} is not reachable below the Fermi fugacity cap {z_cap}"
+                )
+            lo, f_lo = z, f
+        else:
+            hi, f_hi = z, f
+        nxt = None
+        if slope > 0.0:
+            du = max(-_LN4, min(-f / slope, _LN4))
+            nxt = z + z * math.expm1(du)
+            if nxt == z:
+                nxt = math.nextafter(z, math.inf if f < 0.0 else 0.0)
+        if lo is not None and hi is not None:
+            steps += 1
+            if steps > _NEWTON_STEPS:
+                return bracketed_root(residual, lo, f_lo, hi, f_hi, target)
+            if nxt is None or not lo < nxt < hi:
+                nxt = math.sqrt(lo) * math.sqrt(hi)
+                if not lo < nxt < hi:
+                    return bracketed_root(residual, lo, f_lo, hi, f_hi, target)
+        elif nxt is None:
+            nxt = 4.0 * z if f < 0.0 else 0.25 * z
+        if nxt <= 1e-300:
+            raise NoBracketError(
+                f"residual never changes sign down to z = {nxt:.3g}; no physical solution"
+            )
+        z = min(nxt, z_cap)
+        f, slope = probe(z)
+    return z, f
+
+
 def solve_fugacity(
     stat: StatKind,
     container: PlanarDomain | TubeDomain,
@@ -296,7 +378,8 @@ def solve_fugacity(
     NoBracketError
         Bose: N exceeds the maximum particle number reachable before the
         condensation margin (the model excludes condensation).  Fermi: N is
-        unreachable below the fugacity cap ``FERMI_Z_MAX``.
+        unreachable below the fugacity cap ``FERMI_Z_MAX``.  Either: the
+        residual does not change sign down to z = 1e-300.
     NonMonotoneError
         The particle-number equation is decreasing at the root; the
         corrections are too large for the model to be trusted here.
@@ -311,17 +394,37 @@ def solve_fugacity(
 
     Notes
     -----
-    The walk starts from the bulk term alone, inverted: z0 = N/w0 for Bose
-    (w0 the bulk weight); for Fermi z0 = expm1(N/w0) in the plane, where the
-    bulk term is w0 ln(1+z), and in a tube ln z0 = t - pi^2/(12 t) with
-    t = (Gamma(5/2) N/w0)^(2/3), the Sommerfeld inverse of w0 f_3/2(z), once
-    N >= w0 (N/w0 below that).  z0 is clipped into [1e-280, z_cap/2] (Bose:
-    1/2).  The walk steps up from the low end or down from the high end of
-    the bracket until the residual changes sign: Bose halves 1 - z up and
-    quarters z down; Fermi multiplies or divides z by exp(step), with steps
-    1/8, 1/4, 1/2, 1 and then ln 4.  The branch check sums z dN/dz once
-    under a coarse series budget and again under a fine one only when
-    |z dN/dz| does not exceed that sum's certified error.
+    Both statistics start from the bulk term alone, inverted: z0 = N/w0 for
+    Bose (w0 the bulk weight); for Fermi z0 = expm1(N/w0) in the plane,
+    where the bulk term is w0 ln(1+z), and in a tube ln z0 = t - pi^2/(12 t)
+    with t = (Gamma(5/2) N/w0)^(2/3), the Sommerfeld inverse of w0 f_3/2(z),
+    once N >= w0 (N/w0 below that).  z0 is clipped into [1e-280, z_cap/2]
+    (Bose: 1/2).
+
+    Fermi solves by safeguarded Newton in u = ln z.  Each step is one
+    h_orders call over the orders of N and of z dN/dz = dN/du, so the
+    final evaluation also gives the certified slope of the branch check;
+    see ``_fermi_root`` for the safeguard.
+
+    Bose brackets the root by a walk, halving 1 - z up and quartering z
+    down until the residual changes sign, and polishes it with
+    ``bracketed_root``.  Its branch check sums z dN/dz once under a coarse
+    series budget.
+
+    Either branch check sums z dN/dz again under a fine budget only when
+    |z dN/dz| does not exceed the certified error of the first sum.
+    """
+    state, report, _ = _solve(stat, container, N, T, tol)
+    return state, report
+
+
+def _solve(stat, container, N, T, tol=1e-12):
+    """``solve_fugacity``, plus {order: FunctionValue} of the h values the
+    solve evaluated at z*.
+
+    Series values there were summed under the solver's tail budgets; the
+    closed forms and inversions are the values any h_orders call at z*
+    returns.
     """
     if not (N > 0.0) or not math.isfinite(N):
         raise DomainError(f"particle number must be positive, got {N}")
@@ -330,16 +433,18 @@ def solve_fugacity(
     lam = thermal_wavelength(T)
     bose = stat is StatKind.BOSE
     weights, shift, area = _model(container, lam)
+    target = tol * N
 
     # The residual only needs a fraction of tol*N absolute accuracy; the
     # per-term budget keeps the series length finite near the Bose
     # condensation point where the default 1e-12 tail target would blow the
-    # term cap.
-    budget = 0.25 * tol * N
-
-    n_terms = _state_sum(stat, weights, shift, 0, budget)
-    # z and the terms of the latest residual, kept for the validity ratios.
-    last = [None, ()]
+    # term cap.  Only the sign of the slope matters, so its budget is coarse.
+    budget = 0.25 * target
+    coarse = max(N, 16.0 * budget)
+    orders, evaluate = _state_sums(stat, weights, shift,
+                                   {0: budget} if bose else {0: budget, -1: coarse})
+    # z, sums and values of the latest evaluation.
+    last = [None, None, None]
 
     def residual(z: float) -> float:
         # Approaching the Bose condensation point the series length needed to
@@ -347,7 +452,7 @@ def solve_fugacity(
         # near-condensation rather than extrapolated.  The tails are fixed
         # within a solve, so no polish point needs more terms than the walk.
         try:
-            terms, _ = n_terms(z)
+            sums, values = evaluate(z)
         except AccuracyError as exc:
             if bose and z > 0.99:
                 raise NoBracketError(
@@ -356,8 +461,13 @@ def solve_fugacity(
                     "states are outside the model"
                 ) from exc
             raise
-        last[:] = z, terms
-        return sum(terms) - N
+        last[:] = z, sums, values
+        return sum(sums[0][0]) - N
+
+    def probe(z: float) -> tuple[float, float]:
+        f = residual(z)
+        slope_terms, _ = last[1][-1]
+        return f, sum(slope_terms)
 
     # Seed: the bulk term alone, inverted (see Notes).  Below N = w0 the
     # tube's degenerate form overshoots, so Boltzmann takes over there.
@@ -373,78 +483,82 @@ def solve_fugacity(
     z_cap = 1.0 - BOSE_CONDENSATION_MARGIN if bose else FERMI_Z_MAX
     z0 = min(max(seed, 1e-280), 0.5 if bose else z_cap / 2.0)
 
-    # Walk until the residual changes sign: up from lo or down from hi.  For
-    # Bose the walk approaches the condensation cap as z -> 1 - (1-z)/2 and
-    # steps down by quarters; a residual that starts decreasing again while
-    # still negative means the equation peaked below N, i.e.
-    # near-condensation territory the model refuses.  For Fermi the steps in
-    # ln z start at 1/8, since the seed is close, and double up to ln 4.
-    lo = hi = z0
-    f_lo = f_hi = f0 = residual(z0)
-    fermi_factors = itertools.chain(_FERMI_FACTORS, itertools.repeat(4.0))
-    if f0 < 0.0:
-        prev = f0
-        while True:
-            nxt = min(1.0 - (1.0 - lo) / 2.0 if bose else lo * next(fermi_factors), z_cap)
-            f_nxt = residual(nxt)
-            if f_nxt >= 0.0:
-                hi, f_hi = nxt, f_nxt
-                break
-            if bose and f_nxt < prev:
-                raise NoBracketError(
-                    f"N = {N:.6g} exceeds the maximum particle number reachable "
-                    f"before the condensation margin (peak residual {prev + N:.6g}); "
-                    "near-condensation states are outside the model"
-                )
-            if nxt >= z_cap:
-                if bose:
+    if not bose:
+        z_star, res = _fermi_root(probe, N, z0, z_cap, target)
+    else:
+        # Walk until the residual changes sign: up from lo, approaching the
+        # condensation cap as z -> 1 - (1-z)/2, or down from hi by quarters.
+        # A residual that starts decreasing again while still negative means
+        # the equation peaked below N, i.e. near-condensation territory the
+        # model refuses.
+        lo = hi = z0
+        f_lo = f_hi = f0 = residual(z0)
+        if f0 < 0.0:
+            prev = f0
+            while True:
+                nxt = min(1.0 - (1.0 - lo) / 2.0, z_cap)
+                f_nxt = residual(nxt)
+                if f_nxt >= 0.0:
+                    hi, f_hi = nxt, f_nxt
+                    break
+                if f_nxt < prev:
+                    raise NoBracketError(
+                        f"N = {N:.6g} exceeds the maximum particle number reachable "
+                        f"before the condensation margin (peak residual {prev + N:.6g}); "
+                        "near-condensation states are outside the model"
+                    )
+                if nxt >= z_cap:
                     raise NoBracketError(
                         f"N = {N:.6g} is not reachable below the Bose condensation "
                         f"margin z <= {z_cap}"
                     )
-                raise NoBracketError(
-                    f"N = {N:.6g} is not reachable below the Fermi fugacity cap {z_cap}"
-                )
-            lo, f_lo, prev = nxt, f_nxt, f_nxt
-    elif f0 > 0.0:
-        while True:
-            nxt = hi / (4.0 if bose else next(fermi_factors))
-            if nxt <= 1e-300:
-                raise NoBracketError(
-                    f"residual never changes sign down to z = {nxt:.3g}; "
-                    "no physical solution"
-                )
-            f_nxt = residual(nxt)
-            if f_nxt <= 0.0:
-                lo, f_lo = nxt, f_nxt
-                break
-            hi, f_hi = nxt, f_nxt
-
-    z_star, res = bracketed_root(residual, lo, f_lo, hi, f_hi, tol * N)
-    if not abs(res) <= tol * N:
-        _, error = n_terms(z_star)
-        if error > tol * N:
+                lo, f_lo, prev = nxt, f_nxt, f_nxt
+        elif f0 > 0.0:
+            while True:
+                nxt = hi / 4.0
+                if nxt <= 1e-300:
+                    raise NoBracketError(
+                        f"residual never changes sign down to z = {nxt:.3g}; "
+                        "no physical solution"
+                    )
+                f_nxt = residual(nxt)
+                if f_nxt <= 0.0:
+                    lo, f_lo = nxt, f_nxt
+                    break
+                hi, f_hi = nxt, f_nxt
+        z_star, res = bracketed_root(residual, lo, f_lo, hi, f_hi, target)
+    if last[0] != z_star:
+        residual(z_star)
+    _, sums, values = last
+    if not abs(res) <= target:
+        error = sums[0][1]
+        if error > target:
             raise ModelError(
                 f"fugacity solver stalled at residual {res:.3e}: N(z) at z = {z_star:.6g} "
-                f"is certified only to {error:.3e} (target {tol * N:.3e}); the "
+                f"is certified only to {error:.3e} (target {target:.3e}); the "
                 "corrections cancel the bulk term"
             )
         raise AccuracyError(
-            f"fugacity solver stalled at residual {res:.3e} (target {tol * N:.3e})",
+            f"fugacity solver stalled at residual {res:.3e} (target {target:.3e})",
             achieved=abs(res),
         )
 
     # Branch check: the analytic slope must be positive at the root.  Only
-    # its sign matters, so it is summed under a coarse budget and summed
-    # again under a fine one only when its certified error does not settle
-    # the sign.  A slope that cannot be certified this close to the Bose
-    # condensation point is refused the same way a non-monotone one is.
+    # its sign matters: Fermi takes it from the final evaluation, Bose sums
+    # it under a coarse budget, and either sums it again under a fine one
+    # only when its certified error does not settle the sign.  A slope that
+    # cannot be certified this close to the Bose condensation point is
+    # refused the same way a non-monotone one is.
     def slope(abs_budget: float) -> tuple[float, float]:
         terms, error = _weighted_terms(stat, weights, shift, -1, z_star, abs_budget)
         return sum(terms), error
 
     try:
-        deriv, error = slope(max(N, 16.0 * budget))
+        if bose:
+            deriv, error = slope(coarse)
+        else:
+            terms, error = sums[-1]
+            deriv = sum(terms)
         if abs(deriv) <= error:
             deriv, _ = slope(max(0.05 * abs(deriv), 4.0 * budget))
     except AccuracyError as exc:
@@ -458,9 +572,7 @@ def solve_fugacity(
             "boundary/topology corrections dominate and the model is invalid here"
         )
 
-    if last[0] != z_star:
-        residual(z_star)
-    bulk, boundary, topology = last[1]
+    bulk, boundary, topology = sums[0][0]
     ratio_wavelength = lam / math.sqrt(area)
     ratio_boundary = abs(boundary) / abs(bulk) if bulk != 0.0 else math.inf
     ratio_topology = abs(topology) / abs(bulk) if bulk != 0.0 else math.inf
@@ -498,7 +610,7 @@ def solve_fugacity(
         fermi_extension_used=fermi_ext,
         warnings=tuple(messages),
     )
-    return state, report
+    return state, report, dict(zip(orders, values))
 
 
 def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasState) -> float:

@@ -15,16 +15,18 @@ the count against a two-term Weyl band.  Every spectrum is complete below
 its cutoff; the test-suite re-enumerates at half cutoff to certify it.  The
 theta sum refuses to answer when its truncation bound exceeds 1e-6 of the
 value: the oracle must be unimpeachable, so it never extrapolates.
+
+Importing this module loads neither numpy nor scipy: numpy loads at the
+first spectrum or query, and scipy, through ``bessel``, at the first disk
+or annulus spectrum, so rectangle spectra never load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .bessel import cross_product_zeros, j_zeros
 from .eos import bracketed_root
 from .errors import (
     DomainError,
@@ -34,6 +36,9 @@ from .errors import (
 )
 from .geometry import Annulus, Disk, Rectangle, ShapeSpec, make_domain
 from .statfun import StatKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Spectrum",
@@ -76,6 +81,8 @@ def _build(shape: ShapeSpec, cutoff: float, levels) -> Spectrum:
     STATE_CAP checks pass.  The Weyl band applies only where the bulk term
     is at least 4x the boundary term; near-threshold cutoffs of extreme
     geometries are covered by the test-suite's half-cutoff re-enumeration."""
+    import numpy as np
+
     if not math.isfinite(cutoff):
         raise DomainError(f"spectrum cutoff must be finite, got {cutoff}")
     dom = make_domain(shape)
@@ -161,6 +168,8 @@ def disk_spectrum(R: float, cutoff: float) -> Spectrum:
     if not (R > 0.0 and cutoff > 0.0):
         raise DomainError("disk_spectrum needs R, cutoff > 0")
 
+    from .bessel import j_zeros
+
     def levels():
         jmax = R * math.sqrt(2.0 * cutoff)
         return [(z * z / (2.0 * R * R), 1 if nu == 0 else 2)
@@ -174,6 +183,8 @@ def annulus_spectrum(r_inner: float, r_outer: float, cutoff: float) -> Spectrum:
     """Exact annulus spectrum below ``cutoff`` from cross-product zeros."""
     if not (0.0 < r_inner < r_outer) or cutoff <= 0.0:
         raise DomainError("annulus_spectrum needs 0 < Ri < Ro and cutoff > 0")
+
+    from .bessel import cross_product_zeros
 
     def levels():
         kmax = math.sqrt(2.0 * cutoff)
@@ -199,6 +210,8 @@ def theta_sum(spec: Spectrum, t: float) -> tuple[float, float]:
     tail_bound_coeff * exp(-cutoff t)/t; the sum refuses (TruncationError)
     when that exceeds 1e-6 of the value.
     """
+    import numpy as np
+
     t = float(t)
     if not (t > 0.0) or not math.isfinite(t):
         raise DomainError(f"heat-kernel time must be positive, got {t}")
@@ -221,6 +234,8 @@ def exact_thermo(stat: StatKind, spec: Spectrum, N: float, T: float
     may exceed 1 here (the exact bound is z < exp(mu_1/T)), which is exactly
     the regime the asymptotic model refuses.
     """
+    import numpy as np
+
     if not (N > 0.0 and T > 0.0):
         raise DomainError("exact_thermo needs N, T > 0")
     # tail_bound_coeff == 0 declares a complete finite spectrum (no omitted

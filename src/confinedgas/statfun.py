@@ -45,7 +45,6 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import AccuracyError, DomainError
@@ -125,16 +124,26 @@ class Order:
 
     @classmethod
     def of(cls, sigma) -> "Order":
-        """Coerce an Order, int, float or Fraction; 2*sigma must be an exact integer."""
+        """Coerce an Order, int, float or Fraction; 2*sigma must be an exact integer.
+
+        Doubling is exact for all of them, so 2*sigma is compared with its
+        integer part exactly; a float that doubles to inf, nan and +-inf
+        have none.
+        """
         if isinstance(sigma, cls):
             return sigma
+        twice = 2 * sigma
         try:
-            twice = Fraction(sigma) * 2
+            whole = int(twice)
         except (ValueError, OverflowError) as exc:
             raise DomainError(f"order sigma={sigma} is not a finite number") from exc
-        if twice.denominator != 1:
+        if twice != whole:
             raise DomainError(f"order sigma={sigma} is not a half-integer")
-        return cls(int(twice))
+        return cls(whole)
+
+    def __hash__(self) -> int:
+        # Orders key every h table; the generated hash would build a tuple.
+        return self.twice
 
     @property
     def value(self) -> float:

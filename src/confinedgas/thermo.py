@@ -30,7 +30,7 @@ from .eos import (
     ValidityReport,
     _h_table,
     _pressure,
-    solve_fugacity,
+    _solve,
 )
 from .geometry import PlanarDomain, TubeDomain
 from .statfun import (
@@ -42,6 +42,7 @@ from .statfun import (
     TWO,
     FIVE_HALVES,
     ZERO,
+    Method,
     StatKind,
 )
 
@@ -168,10 +169,11 @@ def _no_overflow(z: float, form, *args):
 
 def aux_2d(stat: StatKind, z: float, N: float, dom: PlanarDomain) -> Aux2D:
     """Closed forms for sigma2 and eta2 at (z, N, geometry)."""
-    return _no_overflow(z, _aux_2d, _h_table(stat, z, _ROW_2D), N, dom)
+    return _no_overflow(z, _aux_2d, _h_table(stat, z, _ROW_2D), N, dom)[0]
 
 
-def _aux_2d(h, N: float, dom: PlanarDomain) -> Aux2D:
+def _aux_2d(h, N: float, dom: PlanarDomain) -> tuple[Aux2D, tuple]:
+    """(Aux2D, ()): the closed forms have no roots for the row to reuse."""
     L, O, r = dom.perimeter, dom.area, dom.holes
     hole_term = (1.0 - r) / (6.0 * N) * h[ZERO]
 
@@ -197,7 +199,7 @@ def _aux_2d(h, N: float, dom: PlanarDomain) -> Aux2D:
         + (1.0 - r) / (6.0 * N) * (h[ONE] * h[MINUS_ONE] / h[ZERO]) / sigma2
     )
     eta2 = eta_num / _guard("eta2 denominator", eta_den)
-    return Aux2D(sigma2=sigma2, eta2=eta2)
+    return Aux2D(sigma2=sigma2, eta2=eta2), ()
 
 
 def _thermo_2d_from_state(dom, state: GasState, aux: Aux2D, h):
@@ -230,13 +232,24 @@ def _thermo_2d_from_state(dom, state: GasState, aux: Aux2D, h):
     return u * N * T, f * N * T, s * N, c_v * N
 
 
+#: Methods whose values at z do not depend on a series tail target.
+_EXACT_AT_Z = (Method.CLOSED_FORM, Method.INVERSION)
+
+
 def _row(stat, container, N, T, orders, aux_fn, forms_fn) -> ThermoReport:
     """Solve the state point, read one h table at z* and fill the closed
-    forms."""
-    state, validity = solve_fugacity(stat, container, N, T)
-    h = _h_table(stat, state.z, orders)
-    aux = _no_overflow(state.z, aux_fn, h, N, container)
-    U, F, S, C_V = _no_overflow(state.z, forms_fn, container, state, aux, h)
+    forms.
+
+    The table reuses the closed forms and inversions the solve evaluated at
+    z*, which any h_orders call there returns bit for bit, and evaluates
+    the other orders in one call; series values were summed under the
+    solver's tail budgets, so they are summed again.
+    """
+    state, validity, solved = _solve(stat, container, N, T)
+    h = {o: fv.value for o, fv in solved.items() if fv.method in _EXACT_AT_Z}
+    h.update(_h_table(stat, state.z, [o for o in orders if o not in h]))
+    aux, roots = _no_overflow(state.z, aux_fn, h, N, container)
+    U, F, S, C_V = _no_overflow(state.z, forms_fn, container, state, aux, h, *roots)
     P = _pressure(container, state, h)
     return ThermoReport(U=U, F=F, S=S, C_V=C_V, P=P, state=state, aux=aux,
                         validity=validity)
@@ -260,10 +273,12 @@ def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D) -> float:
 def aux_3d(stat: StatKind, z: float, N: float, tube: TubeDomain) -> Aux3D:
     """Closed forms for sigma3, eta3 and xi1..xi5, evaluated in dependency
     order xi5 -> xi4 -> xi3 -> xi2 -> xi1 -> sigma3 -> eta3."""
-    return _no_overflow(z, _aux_3d, _h_table(stat, z, _ROW_3D), N, tube)
+    return _no_overflow(z, _aux_3d, _h_table(stat, z, _ROW_3D), N, tube)[0]
 
 
-def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:
+def _aux_3d(h, N: float, tube: TubeDomain) -> tuple[Aux3D, tuple[float, float]]:
+    """(Aux3D, (cbrt(h_3/2), cbrt(sigma3))): the row's closed forms reuse
+    the two cube roots."""
     dom = tube.cross_section
     L, O, r = dom.perimeter, dom.area, dom.holes
     lz = tube.length_z
@@ -335,10 +350,12 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:
     )
     eta3 = eta_num / _guard("eta3 denominator", eta_den)
 
-    return Aux3D(sigma3=sigma3, eta3=eta3, xi1=xi1, xi2=xi2, xi3=xi3, xi4=xi4, xi5=xi5)
+    aux = Aux3D(sigma3=sigma3, eta3=eta3, xi1=xi1, xi2=xi2, xi3=xi3, xi4=xi4, xi5=xi5)
+    return aux, (cbrt_h32, cbrt_s3)
 
 
-def _thermo_3d_from_state(tube: TubeDomain, state: GasState, aux: Aux3D, h):
+def _thermo_3d_from_state(tube: TubeDomain, state: GasState, aux: Aux3D, h,
+                          cbrt_h32: float, s3_13: float):
     z, N, T = state.z, state.N, state.T
     dom = tube.cross_section
     L, O = dom.perimeter, dom.area
@@ -353,7 +370,6 @@ def _thermo_3d_from_state(tube: TubeDomain, state: GasState, aux: Aux3D, h):
     )
     hole_coeff = (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0)) * h[THREE_HALVES] ** (2.0 / 3.0)
     s3_23 = s3 ** (2.0 / 3.0)
-    s3_13 = _cbrt(s3)
 
     u = (
         1.5 * bulk_ratio * s3
@@ -375,7 +391,7 @@ def _thermo_3d_from_state(tube: TubeDomain, state: GasState, aux: Aux3D, h):
         s3 * (15.0 / 4.0 * bulk_ratio - 9.0 / 4.0 * e3 * h[THREE_HALVES] / h[HALF])
         - (1.0 / n13) * (L * lz ** (1.0 / 3.0) / O ** (2.0 / 3.0)) * s3_23 * (
             h[TWO] / (2.0 * h[THREE_HALVES] ** (2.0 / 3.0))
-            - (3.0 / 8.0) * e3 * (_cbrt(h[THREE_HALVES]) * h[ONE] / h[HALF])
+            - (3.0 / 8.0) * e3 * (cbrt_h32 * h[ONE] / h[HALF])
         )
         + one_r / 6.0 / n23 * (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0)) * s3_13 * (
             (3.0 / 4.0) * (1.0 - e3) * h[THREE_HALVES] ** (2.0 / 3.0)

@@ -542,6 +542,8 @@ DEGENERATE_FERMI = [
 
 BLOCK_NUMPY = ("import sys; sys.modules['numpy'] = None\n"
                "from confinedgas.cli import main; main()")
+BLOCK_SCIPY = ("import sys; sys.modules['scipy'] = None\n"
+               "from confinedgas.cli import main; main()")
 
 
 @pytest.mark.parametrize("args", DEGENERATE_FERMI, ids=lambda args: "-".join(args[:5]))
@@ -552,5 +554,16 @@ def test_degenerate_fermi_runs_without_numpy(args):
     free = run_process(*args)
     assert free.returncode in (0, 2) and free.stderr == "", free.stderr
     blocked = run_process(*args, entry=("-c", BLOCK_NUMPY))
+    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+        free.returncode, free.stdout, free.stderr)
+
+
+def test_rectangle_oracle_runs_without_scipy():
+    """Rectangle spectra need no Bessel zeros: with scipy's import blocked,
+    ``oracle`` on a rectangle prints the same bytes as with it."""
+    args = ("oracle", "--shape", "rect:1,1", "--cutoff", "50")
+    free = run_process(*args)
+    assert free.returncode == 0 and free.stderr == "", free.stderr
+    blocked = run_process(*args, entry=("-c", BLOCK_SCIPY))
     assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
         free.returncode, free.stdout, free.stderr)

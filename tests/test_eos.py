@@ -391,7 +391,7 @@ class TestPressure:
 
 class TestSolveCost:
     """How many h evaluations a Fermi solve makes: one h_orders call per
-    residual, one per z dN/dz sum."""
+    Newton step, which gives N and z dN/dz together."""
 
     @staticmethod
     def count(monkeypatch, name):
@@ -408,14 +408,16 @@ class TestSolveCost:
 
     def test_fermi_solve_makes_at_most_ten_h_calls(self, monkeypatch):
         """Disk, annulus and rectangle, planar and as tubes, lam/sqrt(area)
-        0.01, 0.03 and 0.1, z* log-spaced over [1e-6, 1e4]: every solve
-        meets its residual in at most 10 h_orders calls."""
+        0.01, 0.03, 0.1, 0.2 and 0.3, z* log-spaced over [1e-6, 1e4]: every
+        solve meets its residual in at most 6 h_orders calls, the branch
+        check included.  The ratios 0.2 and 0.3 on rect:2,0.5 are the
+        states whose lopsided brackets took regula falsi 12 calls."""
         calls = self.count(monkeypatch, "h_orders")
         worst = 0
         for shape in (Disk(1.0), Annulus(0.5, 1.5), Rectangle(2.0, 0.5)):
             dom = make_domain(shape)
             for container in (dom, TubeDomain(dom, 282.0 * math.sqrt(dom.area))):
-                for ratio in (0.01, 0.03, 0.1):
+                for ratio in (0.01, 0.03, 0.1, 0.2, 0.3):
                     lam = ratio * math.sqrt(dom.area)
                     for z in np.geomspace(1e-6, 1e4, 21):
                         N = particle_number(FERMI, container, lam, float(z))
@@ -423,25 +425,32 @@ class TestSolveCost:
                         state, _ = solve_fugacity(FERMI, container, N, 2.0 * math.pi / lam**2)
                         worst = max(worst, len(calls))
                         assert state.z == pytest.approx(z, rel=1e-9)
-        assert worst <= 10
+        assert worst <= 6
 
     def test_degenerate_fermi_solve_sums_the_slope_once(self, monkeypatch):
         """The certified error of a degenerate Fermi z dN/dz is far below its
-        value, so the branch check sums it once."""
+        value, so the branch check takes the slope from the final Newton
+        evaluation and makes no separate sum."""
         sums = self.count(monkeypatch, "_weighted_terms")
+        calls = self.count(monkeypatch, "h_orders")
         dom = make_domain(Disk(1.0))
         for container in (dom, TubeDomain(dom, 500.0)):
             lam = 0.03
             N = particle_number(FERMI, container, lam, 300.0)
             sums.clear()
-            solve_fugacity(FERMI, container, N, 2.0 * math.pi / lam**2)
-            assert [args[3] for args in sums] == [-1]
+            calls.clear()
+            state, _ = solve_fugacity(FERMI, container, N, 2.0 * math.pi / lam**2)
+            assert sums == []
+            assert calls[-1][1] == state.z
 
     @pytest.mark.parametrize("retry_falls", [False, True])
     def test_uncertain_slope_sign_is_summed_again(self, monkeypatch, retry_falls):
         """A z dN/dz whose certified error exceeds its value is summed again
-        under the fine budget, and that sum decides the branch."""
+        under the fine budget, and that sum decides the branch.  Bose sums
+        the slope first on its own; Fermi takes it from the final Newton
+        evaluation, whose slope bound is widened here."""
         weighted_terms = eos._weighted_terms
+        state_sums = eos._state_sums
         budgets = []
 
         def uncertain_slope(stat, weights, shift, offset, z, abs_budget=None):
@@ -454,7 +463,21 @@ class TestSolveCost:
                     return (-1.0, 0.0, 0.0), 0.0
             return terms, error
 
+        def uncertain_newton_slope(stat, weights, shift, offset_budgets):
+            orders, evaluate = state_sums(stat, weights, shift, offset_budgets)
+            if set(offset_budgets) != {0, -1}:  # not a Newton evaluation
+                return orders, evaluate
+
+            def widened(z):
+                sums, values = evaluate(z)
+                terms, _ = sums[-1]
+                budgets[:] = [offset_budgets[-1]]
+                return {**sums, -1: (terms, 2.0 * abs(sum(terms)))}, values
+
+            return orders, widened
+
         monkeypatch.setattr(eos, "_weighted_terms", uncertain_slope)
+        monkeypatch.setattr(eos, "_state_sums", uncertain_newton_slope)
         dom = make_domain(Disk(1.0))
         for stat in (BOSE, FERMI):
             budgets.clear()
@@ -568,18 +591,27 @@ def _loaded_after_import(*modules):
 
 
 def test_scipy_stays_off_the_import_path():
-    """Only the spectral oracle loads scipy; the rest of the package and the
-    CLI start without it, and the CLI loads the verify checks only to run
-    them."""
+    """Only the Bessel zero finders load scipy; the rest of the package, the
+    CLI and the spectral oracle start without it (and without numpy), and
+    the CLI loads the verify checks only to run them."""
 
     def loaded_lazy(*modules):
         return [m for m in _loaded_after_import(*modules)
-                if m.split('.')[0] == 'scipy' or m == 'confinedgas.certify']
+                if m.split('.')[0] in ('scipy', 'numpy') or m == 'confinedgas.certify']
 
     assert loaded_lazy("confinedgas.cli") == []
     assert loaded_lazy("confinedgas.geometry", "confinedgas.thermo") == []
-    assert "scipy.special" in loaded_lazy("confinedgas.spectral")
+    assert loaded_lazy("confinedgas.spectral") == []
+    assert "scipy.special" in loaded_lazy("confinedgas.bessel")
     assert "confinedgas.certify" in loaded_lazy("confinedgas.certify")
+
+
+def test_fractions_stay_off_the_import_path():
+    """Order.of needs no exact rational arithmetic, so neither fractions
+    nor decimal loads with the closed-form thermodynamics."""
+    loaded = _loaded_after_import("confinedgas.geometry", "confinedgas.thermo")
+    assert "confinedgas.statfun" in loaded
+    assert "fractions" not in loaded and "decimal" not in loaded
 
 
 @pytest.mark.parametrize("modules", [

@@ -71,6 +71,44 @@ class TestOrder:
         with pytest.raises(DomainError):
             MINUS_ONE.lowered()
 
+    def test_of_matches_an_exact_fraction_reference(self):
+        """Order.of gives the order, or DomainError, that exact Fraction
+        arithmetic gives: seeded floats at, next to and between the
+        half-integers, every magnitude, subnormals, +-0, nan and +-inf, and
+        ints, bools, Fractions and Orders."""
+
+        def reference(sigma):
+            if isinstance(sigma, Order):
+                return sigma
+            try:
+                twice = Fraction(sigma) * 2
+            except (ValueError, OverflowError):
+                return DomainError
+            if twice.denominator != 1 or twice not in range(-2, 6):
+                return DomainError
+            return Order(int(twice))
+
+        def coerced(sigma):
+            try:
+                return Order.of(sigma)
+            except DomainError:
+                return DomainError
+
+        rng = np.random.default_rng(18)
+        halves = [k / 2 for k in range(-6, 10)]
+        sigmas = [*halves, 1.4999999, 1.5000001, 0.25, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                  5e-324, -5e-324, 1e308, -1e308, 2.0**53, 2.0**53 + 2.0, True, False,
+                  *range(-4, 6), 10**30, *ALL_ORDERS]
+        sigmas += [math.nextafter(h, d) for h in halves for d in (-math.inf, math.inf)]
+        sigmas += [float(x) for x in rng.uniform(-4.0, 4.0, 2000)]
+        sigmas += [float(x) for x in rng.integers(-12, 12, 500) / 4.0]
+        sigmas += [float(s * 10.0**e) for s, e in zip(rng.choice((-1.0, 1.0), 1000),
+                                                      rng.uniform(-320.0, 308.0, 1000))]
+        sigmas += [Fraction(int(p), int(q)) for p, q in zip(rng.integers(-12, 12, 500),
+                                                            rng.integers(1, 5, 500))]
+        for sigma in sigmas:
+            assert coerced(sigma) == reference(sigma), sigma
+
 
 class TestClosedForms:
     def test_g1_is_minus_log(self):

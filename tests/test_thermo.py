@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from confinedgas import thermo
 from confinedgas.errors import ConfinedGasError, SingularityError
 from confinedgas.eos import solve_fugacity
 from confinedgas.geometry import (
@@ -346,6 +348,48 @@ def test_entropy_identity_holds_or_refuses(stat, shape, tube, aspect, log10_rati
     for value in (rep.state.z, rep.U, rep.F, rep.S, rep.C_V, rep.P):
         assert math.isfinite(value)
     assert abs(rep.S - (rep.U - rep.F) / rep.state.T) <= 1e-12 * abs(rep.S)
+
+
+def _row_or_refusal(stat, container, N, T):
+    try:
+        rep = (thermo_3d if isinstance(container, TubeDomain) else thermo_2d)(stat, container, N, T)
+    except ConfinedGasError as exc:
+        return type(exc).__name__
+    return repr(rep)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    stat=st.sampled_from((BOSE, FERMI)),
+    shape=st.sampled_from((Disk(1.0), Rectangle(2.0, 0.5), Annulus(0.5, 1.5))),
+    tube=st.booleans(),
+    aspect=st.floats(150.0, 400.0),
+    log10_ratio=st.floats(-2.5, -0.5),
+    log10_fill=st.floats(-4.0, 1.5),
+)
+def test_row_reuse_is_bit_identical_to_a_fresh_table(stat, shape, tube, aspect, log10_ratio,
+                                                     log10_fill):
+    """A row reuses the closed forms and inversions its solve evaluated at
+    z*; filled instead from a fresh h table at the same z*, every number of
+    the report is the same bit for bit, and a refusal is the same class."""
+    dom = make_domain(shape)
+    lam = 10.0**log10_ratio * math.sqrt(dom.area)
+    T = 2.0 * math.pi / lam**2
+    N = 10.0**log10_fill * dom.area / lam**2
+    container = dom
+    if tube:
+        container = TubeDomain(dom, aspect * math.sqrt(dom.area))
+        N *= container.length_z / lam
+    solve = thermo._solve
+
+    def solve_without_values(*args):
+        state, validity, _ = solve(*args)
+        return state, validity, {}
+
+    reused = _row_or_refusal(stat, container, N, T)
+    with mock.patch.object(thermo, "_solve", solve_without_values):
+        fresh = _row_or_refusal(stat, container, N, T)
+    assert reused == fresh
 
 
 def test_cbrt_is_correctly_rounded():
