@@ -1,7 +1,9 @@
 """Zeros of cylinder functions for the spectral oracle.
 
 J_nu and Y_nu come from ``scipy.special`` (Amos, ACM TOMS 12 (1986) 265,
-Alg. 644), which implements none of the formulas the oracle checks.  One
+Alg. 644), which implements none of the formulas the oracle checks: J_nu
+from ``jv``, and Y_nu as the imaginary part of ``hankel1`` (DLMF 10.4.3,
+H^(1) = J + iY), one Hankel evaluation where ``yv`` makes two.  One
 pass serves every order of a shape: the orders' sampling grids are joined
 and evaluated in one vectorised call, the sign changes within each order
 are polished together by Newton steps safeguarded by bisection, using
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import jv, yv
+from scipy.special import hankel1, jv
 
 from .errors import ConvergenceError, DomainError
 
@@ -110,6 +112,13 @@ def j_zeros(orders, xmax: float) -> list[np.ndarray]:
     return table
 
 
+def _y(nu, x):
+    """Y_nu(x) as Im H^(1)_nu(x), bit for bit ``yv(nu, x)``.  Where Amos
+    overflows, ``hankel1`` gives nan and ``yv`` -inf; the nan becomes -inf."""
+    y = hankel1(nu, x).imag
+    return np.where(np.isnan(y), -np.inf, y)
+
+
 def _scaled_cross(nu, k, ri: float, ro: float, slope: bool = False):
     """G = (J_nu(k Ri) Y_nu(k Ro) - J_nu(k Ro) Y_nu(k Ri)) / |H_nu(k Ri)|.
 
@@ -117,8 +126,10 @@ def _scaled_cross(nu, k, ri: float, ro: float, slope: bool = False):
     cross-product, and G stays finite where Y_nu(k Ri) overflows (there
     J_nu(k Ri) is 0 and G = J_nu(k Ro)).  With (c, s) = (cos, sin) of the
     phase theta of H_nu(k Ri), the Wronskian gives theta' = 2/(pi k |H|^2).
+    Each Y is one ``hankel1`` call (``_y``).  J stays on ``jv``: Re H^(1)
+    differs from it in the last bits, which would move the roots.
     """
-    j_in, y_in, j_out, y_out = jv(nu, k * ri), yv(nu, k * ri), jv(nu, k * ro), yv(nu, k * ro)
+    j_in, y_in, j_out, y_out = jv(nu, k * ri), _y(nu, k * ri), jv(nu, k * ro), _y(nu, k * ro)
     m = np.hypot(j_in, y_in)
     with np.errstate(invalid="ignore", over="ignore"):
         c, s = j_in / m, np.where(np.isinf(y_in), np.sign(y_in), y_in / m)
@@ -126,7 +137,7 @@ def _scaled_cross(nu, k, ri: float, ro: float, slope: bool = False):
         if not slope:
             return g
         dj_out = jv(nu - 1, k * ro) - (nu / (k * ro)) * j_out
-        dy_out = yv(nu - 1, k * ro) - (nu / (k * ro)) * y_out
+        dy_out = _y(nu - 1, k * ro) - (nu / (k * ro)) * y_out
         dtheta = 2.0 / (math.pi * k * m * m)
     return g, ro * (c * dy_out - s * dj_out) - dtheta * (s * y_out + c * j_out)
 

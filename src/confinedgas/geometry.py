@@ -289,10 +289,10 @@ def make_domain(spec: ShapeSpec) -> PlanarDomain:
     if isinstance(spec, Rectangle):
         return PlanarDomain(spec.a * spec.b, 2.0 * (spec.a + spec.b), 0)
     if isinstance(spec, Disk):
-        return PlanarDomain(math.pi * spec.radius**2, 2.0 * math.pi * spec.radius, 0)
+        return PlanarDomain(math.pi * (spec.radius * spec.radius), 2.0 * math.pi * spec.radius, 0)
     if isinstance(spec, Annulus):
         return PlanarDomain(
-            math.pi * (spec.r_outer**2 - spec.r_inner**2),
+            math.pi * (spec.r_outer * spec.r_outer - spec.r_inner * spec.r_inner),
             2.0 * math.pi * (spec.r_inner + spec.r_outer),
             1,
         )

@@ -5,11 +5,13 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import yv
+from scipy.special import jv, yv
 
 from confinedgas.bessel import (
+    _flatten,
     _roots,
     _scaled_cross,
+    _y,
     cross_product_zeros,
     j_zeros,
 )
@@ -150,6 +152,68 @@ class TestCrossProductZeros:
         for ri, ro in ((0.0, 1.0), (2.0, 1.0), (1.0, 1.0), (-1.0, 2.0)):
             with pytest.raises(DomainError):
                 one_order(cross_product_zeros, 0, ri, ro, 10.0)
+
+
+def jv_yv_scaled_cross(nu, k, ri, ro, slope=False):
+    """``_scaled_cross`` as written on ``jv`` and ``yv``: the reference the
+    Hankel form must reproduce bit for bit."""
+    j_in, y_in, j_out, y_out = jv(nu, k * ri), yv(nu, k * ri), jv(nu, k * ro), yv(nu, k * ro)
+    m = np.hypot(j_in, y_in)
+    with np.errstate(invalid="ignore", over="ignore"):
+        c, s = j_in / m, np.where(np.isinf(y_in), np.sign(y_in), y_in / m)
+        g = c * y_out - s * j_out
+        if not slope:
+            return g
+        dj_out = jv(nu - 1, k * ro) - (nu / (k * ro)) * j_out
+        dy_out = yv(nu - 1, k * ro) - (nu / (k * ro)) * y_out
+        dtheta = 2.0 / (math.pi * k * m * m)
+    return g, ro * (c * dy_out - s * dj_out) - dtheta * (s * y_out + c * j_out)
+
+
+def assert_same_bits(got, want, what):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert not np.isnan(want).any(), what
+    differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert differ.size == 0, (
+        f"{what}: {differ.size} of {got.size} values differ, first {got[differ[0]]!r} "
+        f"against {want[differ[0]]!r}; the Hankel form no longer reproduces jv/yv bit "
+        f"for bit, so the oracle's output bytes would change")
+
+
+class TestHankelIdentity:
+    """The finder takes Y_nu from ``hankel1``, one Amos evaluation, where
+    ``yv`` makes two.  These tests pin the identities that keep the spectra
+    byte-identical, so a scipy upgrade that breaks one fails here by name."""
+
+    def test_y_is_yv_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        nu = rng.integers(-1, 401, 60_000)
+        x = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), nu.size))
+        want = yv(nu, x)
+        assert np.isneginf(want).any() and np.isfinite(want).any()
+        assert_same_bits(_y(nu, x), want, "Im hankel1 against yv")
+
+    @pytest.mark.parametrize("ri, ro, orders, kmax", [
+        (1.0, 2.0, range(60), math.sqrt(2.0 * 355.0)),
+        (0.1, 1.0, [40], 80.0),
+        (0.05, 1.0, range(280, 301), 330.0),
+        (10.0, 10.2, range(200), math.sqrt(2.0 * 300.0)),
+    ])
+    def test_scaled_cross_is_the_jv_yv_formula_bit_for_bit(self, ri, ro, orders, kmax):
+        """On the finder's roots and on seeded points of each order's scan
+        range, values and slopes equal the jv/yv formula's, overflow included."""
+        rng = np.random.default_rng(int(1000 * ri + ro))
+        orders = np.asarray(orders)
+        nu = rng.choice(orders, 4000)
+        k = rng.uniform(np.minimum(np.maximum(nu / ro, 1e-3) * 0.95, kmax), kmax)
+        zeros, zero_nu = _flatten(cross_product_zeros(orders, ri, ro, kmax), orders)
+        nu, k = np.concatenate([nu, zero_nu]), np.concatenate([k, zeros])
+        assert_same_bits(_scaled_cross(nu, k, ri, ro), jv_yv_scaled_cross(nu, k, ri, ro),
+                         "G")
+        g, dg = _scaled_cross(nu, k, ri, ro, slope=True)
+        want_g, want_dg = jv_yv_scaled_cross(nu, k, ri, ro, slope=True)
+        assert_same_bits(g, want_g, "G with slope")
+        assert_same_bits(dg, want_dg, "G'")
 
 
 def one_order_at_a_time(finder, orders):

@@ -123,6 +123,12 @@ class TestMalformedInput:
             (("specfun", "--stat", "fermi", "--order", "1/2",
               "--z-grid", "1:1e8:100000000000"), "DomainError"),
             (("oracle", "--shape", "rect:1e300,1", "--cutoff", "10"), "ResourceError"),
+            # A radius whose square overflows gives an infinite area, not a traceback.
+            (("solve", "--stat", "fermi", "--shape", "disk:1e155", "--N", "5", "--T", "1"),
+             "GeometryError"),
+            (("table", "--stat", "fermi", "--shape", "disk:1e155", "--N", "5",
+              "--T-grid", "1:2:2"), "GeometryError"),
+            (("oracle", "--shape", "annulus:1,1e200", "--cutoff", "1e-300"), "GeometryError"),
         ]
         for args, error in cases:
             result = run(*args)
