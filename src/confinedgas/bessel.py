@@ -8,6 +8,13 @@ pass serves every order of a shape: the orders' sampling grids are joined
 and evaluated in one vectorised call, the sign changes within each order
 are polished together by Newton steps safeguarded by bisection, using
 C_nu' = C_(nu-1) - (nu/x) C_nu, and every root is certified.
+
+The annulus scan needs exact values only at the two samples that bracket
+each root; elsewhere it needs signs.  It takes them from one ``hankel1``
+call per radius, J as Re H^(1), which is cheaper than ``jv`` but differs
+from it in the last bits, and evaluates the exact cross-product at both
+ends of each bracket and wherever that sign is in doubt, so the roots are
+the floats an exact scan gives.
 """
 
 from __future__ import annotations
@@ -23,13 +30,19 @@ __all__ = ["j_zeros", "cross_product_zeros"]
 
 
 def _roots(func, nu: np.ndarray, start: np.ndarray, stop: float,
-           step: float) -> list[np.ndarray]:
+           step: float, scan=None) -> list[np.ndarray]:
     """Ascending roots of ``func(nu_i, .)`` at its sign changes on the grid
     start_i, start_i + step, ..., stop, for each order nu_i up to the first
     one without a root (a scan that starts at or past ``stop`` has none);
     each is polished until its step is below 1e-15 relative.
     ``func(nu, x, slope=True)`` returns the value and derivative,
-    elementwise in ``nu`` and ``x``."""
+    elementwise in ``nu`` and ``x``.
+
+    A cheaper ``scan(nu, x)`` may sample the grid instead: it returns values
+    and a mask of the samples whose sign it certifies.  ``func`` then runs
+    at every other sample, so every sign is ``func``'s, and at both ends of
+    each sign change, so the secant starts, and with them the roots, are
+    the same floats as with ``func`` everywhere."""
     below = start < stop
     if not below.all():
         nu, start = nu[:below.argmin()], start[:below.argmin()]
@@ -37,7 +50,12 @@ def _roots(func, nu: np.ndarray, start: np.ndarray, stop: float,
     owner = np.repeat(np.arange(nu.size), size)
     local = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
     grid = np.where(local < size[owner] - 1, start[owner] + step * local, stop)
-    values = func(nu[owner], grid)
+    x_nu = nu[owner]
+    if scan is None:
+        values = func(x_nu, grid)
+    else:
+        values, sure = scan(x_nu, grid)
+        values[~sure] = func(x_nu[~sure], grid[~sure])
     pair = np.flatnonzero((owner[:-1] == owner[1:])
                           & (np.sign(values[:-1]) * np.sign(values[1:]) < 0.0))
     on_grid = values == 0.0
@@ -53,7 +71,11 @@ def _roots(func, nu: np.ndarray, start: np.ndarray, stop: float,
     if n == 0:
         return []
     pair = pair[owner[pair] < n]
-    lo, hi, f_lo, nu_x = grid[pair], grid[pair + 1], values[pair], nu[owner[pair]]
+    if scan is not None:
+        ends = np.union1d(pair, pair + 1)
+        ends = ends[sure[ends]]
+        values[ends] = func(x_nu[ends], grid[ends])
+    lo, hi, f_lo, nu_x = grid[pair], grid[pair + 1], values[pair], x_nu[pair]
     x, last = lo - f_lo * (hi - lo) / (values[pair + 1] - f_lo), hi - lo
     roots = np.empty_like(x)
     todo = np.arange(x.size)
@@ -119,6 +141,14 @@ def _y(nu, x):
     return np.where(np.isnan(y), -np.inf, y)
 
 
+def _phase(j, y):
+    """|H| and (cos, sin) of the phase of H = J + iY; where Y has overflowed
+    to -inf (J is 0 there) they are inf and (0, -1)."""
+    m = np.hypot(j, y)
+    with np.errstate(invalid="ignore"):
+        return m, j / m, np.where(np.isinf(y), np.sign(y), y / m)
+
+
 def _scaled_cross(nu, k, ri: float, ro: float, slope: bool = False):
     """G = (J_nu(k Ri) Y_nu(k Ro) - J_nu(k Ro) Y_nu(k Ri)) / |H_nu(k Ri)|.
 
@@ -130,9 +160,8 @@ def _scaled_cross(nu, k, ri: float, ro: float, slope: bool = False):
     differs from it in the last bits, which would move the roots.
     """
     j_in, y_in, j_out, y_out = jv(nu, k * ri), _y(nu, k * ri), jv(nu, k * ro), _y(nu, k * ro)
-    m = np.hypot(j_in, y_in)
+    m, c, s = _phase(j_in, y_in)
     with np.errstate(invalid="ignore", over="ignore"):
-        c, s = j_in / m, np.where(np.isinf(y_in), np.sign(y_in), y_in / m)
         g = c * y_out - s * j_out
         if not slope:
             return g
@@ -142,6 +171,24 @@ def _scaled_cross(nu, k, ri: float, ro: float, slope: bool = False):
     return g, ro * (c * dy_out - s * dj_out) - dtheta * (s * y_out + c * j_out)
 
 
+def _scan_cross(nu, k, ri: float, ro: float):
+    """G of ``_scaled_cross`` from one ``hankel1`` call per radius, J taken
+    as Re H^(1), and the mask of samples whose sign it certifies:
+    |G| > 1e-9 |H_nu(k Ro)|.
+
+    Re H^(1) and ``jv`` differ by a few eps of |H|, so the two G differ by
+    a few eps of |H_nu(k Ro)| (1.7e-13 of it at most over 60 seeded
+    annuli): the margin is more than 1000 times that, so a certified sign
+    is the exact one and the sample is not 0.  Where Amos overflows, H is
+    nan, and so is G, which certifies nothing.
+    """
+    h_in, h_out = hankel1(nu, k * ri), hankel1(nu, k * ro)
+    _, c, s = _phase(h_in.real, h_in.imag)
+    with np.errstate(invalid="ignore", over="ignore"):
+        g = c * h_out.imag - s * h_out.real
+        return g, np.abs(g) > 1e-9 * np.abs(h_out)
+
+
 def cross_product_zeros(orders, r_inner: float, r_outer: float,
                         kmax: float) -> list[np.ndarray]:
     """The k in (0, kmax] where the cross-product vanishes, ascending, for
@@ -149,7 +196,10 @@ def cross_product_zeros(orders, r_inner: float, r_outer: float,
 
     Radial oscillation needs k > nu/r somewhere in the annulus, so each scan
     starts just below nu/r_outer; the asymptotic zero spacing is
-    pi/(r_outer - r_inner) and the grid oversamples it 8x.
+    pi/(r_outer - r_inner) and the grid oversamples it 8x.  The grid's
+    signs come from ``_scan_cross``; the exact ``_scaled_cross`` runs only
+    where its sign is in doubt and at both ends of each sign change, and
+    it alone serves the secant starts, the polish and the certificate.
     """
     if not (0.0 < r_inner < r_outer):
         raise DomainError("need 0 < r_inner < r_outer")
@@ -158,8 +208,11 @@ def cross_product_zeros(orders, r_inner: float, r_outer: float,
     def cross(nu, k, slope=False):
         return _scaled_cross(nu, k, r_inner, r_outer, slope)
 
+    def scan(nu, k):
+        return _scan_cross(nu, k, r_inner, r_outer)
+
     table = _roots(cross, nu, np.maximum(nu / r_outer, 1e-3) * 0.95, kmax,
-                   math.pi / (8.0 * (r_outer - r_inner)))
+                   math.pi / (8.0 * (r_outer - r_inner)), scan)
     # Certify each root through its implied k-error |G|/|G'|; the raw
     # residual is meaningless when high orders make the slope steep.
     zeros, nu = _flatten(table, nu)

@@ -339,9 +339,10 @@ def weyl_terms(dom: PlanarDomain, lam: float) -> tuple[float, float, float]:
     (area/lam^2, -perimeter/(4 lam), (1 - holes)/6).  The one place they
     are computed; validity judgments belong to the equation-of-state layer.
     """
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise DomainError(f"thermal wavelength must be positive, got {lam}")
-    return dom.area / lam**2, -0.25 * dom.perimeter / lam, (1.0 - dom.holes) / 6.0
+    lam2 = lam * lam
+    if not (lam > 0.0) or not math.isfinite(lam2):
+        raise DomainError(f"thermal wavelength must be positive with a finite square, got {lam}")
+    return dom.area / lam2, -0.25 * dom.perimeter / lam, (1.0 - dom.holes) / 6.0
 
 
 def weyl_state_sum(dom: PlanarDomain, lam: float) -> float:

@@ -221,7 +221,8 @@ def _closed_form(bose: bool, twice: int, z: float) -> FunctionValue:
     elif twice == 0:
         value = z / (1.0 - z) if bose else z / (1.0 + z)
     else:
-        value = z / (1.0 - z) ** 2 if bose else z / (1.0 + z) ** 2
+        w = 1.0 - z if bose else 1.0 + z
+        value = z / (w * w)
     bound = 4.0 * _EPS * abs(value) + 1e-300
     return FunctionValue(value, bound, Method.CLOSED_FORM)
 

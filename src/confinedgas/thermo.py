@@ -119,6 +119,15 @@ def _guard(name: str, value: float) -> float:
     return value
 
 
+def _sq(x: float) -> float:
+    """x * x, which is correctly rounded; x**2 goes through libm ``pow``,
+    which misrounds some squares by 1 ulp.  Overflow raises, as x**2 does."""
+    y = x * x
+    if y == math.inf and math.isfinite(x):
+        raise OverflowError("square out of range")
+    return y
+
+
 def _cbrt(x: float) -> float:
     """The cube root of x, correctly rounded; +-0, +-inf and nan map to
     themselves.
@@ -151,8 +160,8 @@ def _cbrt(x: float) -> float:
 
 
 def _no_overflow(z: float, form, *args):
-    """form(*args).  The closed forms take powers of the geometry (L**2,
-    L**3, ...) that overflow for huge containers; that refuses them like any
+    """form(*args).  The closed forms take powers of the geometry (L^2,
+    L^3, ...) that overflow for huge containers; that refuses them like any
     other singular closed form."""
     try:
         return form(*args)
@@ -177,7 +186,7 @@ def _aux_2d(h, N: float, dom: PlanarDomain) -> tuple[Aux2D, tuple]:
     L, O, r = dom.perimeter, dom.area, dom.holes
     hole_term = (1.0 - r) / (6.0 * N) * h[ZERO]
 
-    inner = 1.0 + (1.0 / (64.0 * N)) * (L**2 / O) * (h[HALF] ** 2 / h[ONE]) - hole_term
+    inner = 1.0 + (1.0 / (64.0 * N)) * (_sq(L) / O) * (_sq(h[HALF]) / h[ONE]) - hole_term
     if inner < 0.0:
         raise SingularityError(
             f"sigma2 square-root argument {inner:.3e} is negative; the closed "
@@ -186,7 +195,7 @@ def _aux_2d(h, N: float, dom: PlanarDomain) -> tuple[Aux2D, tuple]:
     den = math.sqrt(inner) - (1.0 / (8.0 * math.sqrt(N))) * (L / math.sqrt(O)) * (
         h[HALF] / math.sqrt(h[ONE])
     )
-    sigma2 = ((1.0 - hole_term) / _guard("sigma2 denominator", den)) ** 2
+    sigma2 = _sq((1.0 - hole_term) / _guard("sigma2 denominator", den))
 
     sqrt_sigma2 = math.sqrt(sigma2)
     eta_num = 1.0 - (1.0 / (8.0 * math.sqrt(N))) * (L / math.sqrt(O)) * (
@@ -289,19 +298,19 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> tuple[Aux3D, tuple[float, float]]:
     if one_r == 0.0:
         xi5 = 1.0
     else:
-        xi5 = 1.0 - (one_r**2 / (27.0 * N)) * (lz / _guard("xi5 perimeter", L)) * (
-            h[HALF] ** 2 / h[ONE]
+        xi5 = 1.0 - (_sq(one_r) / (27.0 * N)) * (lz / _guard("xi5 perimeter", L)) * (
+            _sq(h[HALF]) / h[ONE]
         )
 
     xi4 = (
         1.0
         - one_r / (72.0 * N) * (lz * L / O) * (h[ONE] * h[HALF] / h[THREE_HALVES])
-        + one_r**3 / (2916.0 * N**2) * (lz**2 / O) * (h[HALF] ** 3 / h[THREE_HALVES])
+        + one_r**3 / (2916.0 * _sq(N)) * (_sq(lz) / O) * (h[HALF] ** 3 / h[THREE_HALVES])
     )
-    xi3 = xi5**3 / _guard("xi4", xi4) ** 2
+    xi3 = xi5**3 / _sq(_guard("xi4", xi4))
 
-    xi2_arg = 1.0 + (1.0 / (432.0 * N)) * (lz * L**3 / O**2) * (
-        h[ONE] ** 3 / h[THREE_HALVES] ** 2
+    xi2_arg = 1.0 + (1.0 / (432.0 * N)) * (lz * L**3 / _sq(O)) * (
+        h[ONE] ** 3 / _sq(h[THREE_HALVES])
     ) * xi3
     if xi2_arg < 0.0:
         raise SingularityError(
@@ -322,7 +331,7 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> tuple[Aux3D, tuple[float, float]]:
     sigma3_bracket = (
         1.0
         - (lz * L / O) * one_r / (72.0 * N) * (h[ONE] * h[HALF] / h[THREE_HALVES])
-        + (lz**2 / O) * one_r**3 / (2916.0 * N**2) * (h[HALF] ** 3 / h[FIVE_HALVES])
+        + (_sq(lz) / O) * one_r**3 / (2916.0 * _sq(N)) * (h[HALF] ** 3 / h[FIVE_HALVES])
     )
     sigma3 = 1.0 / _guard("sigma3 bracket", sigma3_bracket) / _guard("xi1", xi1) ** 3
     if sigma3 < 0.0:
@@ -339,14 +348,14 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> tuple[Aux3D, tuple[float, float]]:
         - (1.0 / (6.0 * N ** (1.0 / 3.0))) * (lz ** (1.0 / 3.0) * L / O ** (2.0 / 3.0))
         * (h[ONE] / h[THREE_HALVES] ** (2.0 / 3.0)) / cbrt_s3
         + one_r / (18.0 * N ** (2.0 / 3.0)) * (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0))
-        * (h[HALF] / cbrt_h32) / cbrt_s3**2
+        * (h[HALF] / cbrt_h32) / _sq(cbrt_s3)
     )
     eta_den = (
         1.0
         - (1.0 / (4.0 * N ** (1.0 / 3.0))) * (lz ** (1.0 / 3.0) * L / O ** (2.0 / 3.0))
         * (cbrt_h32 * h[ZERO] / h[HALF]) / cbrt_s3
         + one_r / (6.0 * N ** (2.0 / 3.0)) * (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0))
-        * (h[THREE_HALVES] ** (2.0 / 3.0) * h[MINUS_HALF] / h[HALF]) / cbrt_s3**2
+        * (h[THREE_HALVES] ** (2.0 / 3.0) * h[MINUS_HALF] / h[HALF]) / _sq(cbrt_s3)
     )
     eta3 = eta_num / _guard("eta3 denominator", eta_den)
 

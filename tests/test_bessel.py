@@ -5,12 +5,14 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.special import jv, yv
+from scipy.special import hankel1, jv, yv
 
+import confinedgas.bessel as bessel
 from confinedgas.bessel import (
     _flatten,
     _roots,
     _scaled_cross,
+    _scan_cross,
     _y,
     cross_product_zeros,
     j_zeros,
@@ -216,6 +218,146 @@ class TestHankelIdentity:
         assert_same_bits(dg, want_dg, "G'")
 
 
+def sampling_grid(nu, start, stop, step):
+    """The scan's grid: each order's samples start_i, start_i + step, ...,
+    stop, with the order each belongs to (orders from the first one that
+    starts at or past ``stop`` are dropped)."""
+    below = start < stop
+    if not below.all():
+        nu, start = nu[:below.argmin()], start[:below.argmin()]
+    size = np.ceil((stop - start) / step).astype(np.int64) + 1
+    owner = np.repeat(np.arange(nu.size), size)
+    local = np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
+    return nu, owner, np.where(local < size[owner] - 1, start[owner] + step * local, stop)
+
+
+def exact_scan_roots(func, nu, start, stop, step):
+    """``bessel._roots`` as it was before the sign scan: ``func`` at every
+    sample.  The reference the scan must reproduce bit for bit."""
+    nu, owner, grid = sampling_grid(nu, start, stop, step)
+    values = func(nu[owner], grid)
+    pair = np.flatnonzero((owner[:-1] == owner[1:])
+                          & (np.sign(values[:-1]) * np.sign(values[1:]) < 0.0))
+    on_grid = values == 0.0
+    found = (np.bincount(owner[pair], minlength=nu.size)
+             + np.bincount(owner[on_grid], minlength=nu.size))
+    bad = np.bincount(owner[~np.isfinite(values)], minlength=nu.size) > 0
+    stops = np.flatnonzero((found == 0) | bad)
+    n = int(stops[0]) if stops.size else nu.size
+    if n < nu.size and bad[n]:
+        raise ConvergenceError("non-finite cylinder function on the sampling grid")
+    if n == 0:
+        return []
+    pair = pair[owner[pair] < n]
+    lo, hi, f_lo, nu_x = grid[pair], grid[pair + 1], values[pair], nu[owner[pair]]
+    x, last = lo - f_lo * (hi - lo) / (values[pair + 1] - f_lo), hi - lo
+    roots = np.empty_like(x)
+    todo = np.arange(x.size)
+    for _ in range(80):
+        if todo.size == 0:
+            break
+        f, df = func(nu_x, x, slope=True)
+        same = (f < 0.0) == (f_lo < 0.0)
+        lo, f_lo, hi = np.where(same, x, lo), np.where(same, f, f_lo), np.where(same, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = x - f / df
+        ok = (lo <= newton) & (newton <= hi) & (np.abs(newton - x) <= 0.5 * last)
+        x_new = np.where(ok, newton, 0.5 * (lo + hi))
+        last = np.abs(x_new - x)
+        done = (f == 0.0) | (last <= 1e-15 * np.abs(x_new))
+        roots[todo[done]] = np.where(f == 0.0, x, x_new)[done]
+        todo, x, last, lo, hi, f_lo, nu_x = (
+            a[~done] for a in (todo, x_new, last, lo, hi, f_lo, nu_x))
+    if todo.size:
+        raise ConvergenceError(f"zero refinement stalled in [{lo[0]}, {hi[0]}]")
+    on_grid &= owner < n
+    everything = np.concatenate([grid[on_grid], roots])
+    ranked = np.lexsort((everything, np.concatenate([owner[on_grid], owner[pair]])))
+    return np.split(everything[ranked], np.cumsum(found[:n])[:-1])
+
+
+def annulus_scan(ri, ro, cutoff):
+    """The orders, start points, end and step of ``annulus_spectrum``'s
+    cross-product scan."""
+    kmax = math.sqrt(2.0 * cutoff)
+    nu = np.arange(int(kmax * ro / 0.95) + 2)
+    return nu, np.maximum(nu / ro, 1e-3) * 0.95, kmax, math.pi / (8.0 * (ro - ri))
+
+
+def seeded_annuli():
+    """60 seeded annuli (ri, ro, cutoff) with thin ones, small holes down to
+    ri/ro = 1e-300, and orders 280-300 at (0.05, 1)."""
+    rng = np.random.default_rng(20)
+    cases = [(10.0, 10.2, 300.0), (0.01, 1.0, 400.0), (1e-8, 1.0, 600.0),
+             (1e-300, 1.0, 200.0), (0.05, 1.0, 330.0**2 / 2.0)]
+    while len(cases) < 60:
+        ro = float(np.exp(rng.uniform(math.log(0.3), math.log(3.0))))
+        ri = ro * float(np.exp(rng.uniform(math.log(1e-3), math.log(0.97))))
+        # At least two radial zeros of order 0, near pi/(ro - ri) apart.
+        cutoff = max(float(rng.uniform(200.0, 800.0)) / (ro * ro),
+                     0.5 * (2.5 * math.pi / (ro - ri))**2)
+        cases.append((ri, ro, cutoff))
+    return cases
+
+
+class TestSignScan:
+    """The scan takes signs from one ``hankel1`` call per radius and the
+    exact cross-product only where a sign is in doubt or a root is
+    bracketed; the roots must stay the floats of the exact scan."""
+
+    def test_roots_equal_the_exact_scan_bit_for_bit(self):
+        worst, samples = 0.0, 0
+        for ri, ro, cutoff in seeded_annuli():
+            nu, start, kmax, step = annulus_scan(ri, ro, cutoff)
+            if (ri, ro) == (0.05, 1.0):
+                nu, start = nu[280:301], start[280:301]
+            got = cross_product_zeros(nu, ri, ro, kmax)
+            want = exact_scan_roots(lambda n, k, slope=False: _scaled_cross(n, k, ri, ro, slope),
+                                    nu, start, kmax, step)
+            assert got and len(got) == len(want), (ri, ro, cutoff)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), (ri, ro, cutoff)
+            # The margin: the scan's G is within 1e-12 |H_nu(k Ro)| of the
+            # exact G, and a certified sign is the exact, non-zero sign.
+            nu, owner, grid = sampling_grid(nu, start, kmax, step)
+            nu = nu[owner]
+            g_scan, sure = _scan_cross(nu, grid, ri, ro)
+            g = _scaled_cross(nu, grid, ri, ro)
+            both = np.isfinite(g_scan) & np.isfinite(g)
+            worst = max(worst, float(np.max(np.abs(g_scan - g)[both]
+                                            / np.abs(hankel1(nu, grid * ro))[both],
+                                            initial=0.0)))
+            samples += int(both.sum())
+            assert np.all(np.sign(g[sure]) == np.sign(g_scan[sure])), (ri, ro, cutoff)
+            assert np.all(g[sure] != 0.0), (ri, ro, cutoff)
+        assert samples > 50_000
+        assert worst <= 1e-12
+
+    def test_exact_values_only_at_brackets_and_doubtful_samples(self, monkeypatch):
+        """annulus:1,2 at cutoff 355: the exact cross-product runs at both
+        ends of each root's bracket and at the samples whose sign the scan
+        could not certify, not at every sample."""
+        exact, doubtful, scanned = [], [], []
+
+        def counting_exact(nu, k, ri, ro, slope=False):
+            if not slope:
+                exact.append(np.size(k))
+            return _scaled_cross(nu, k, ri, ro, slope)
+
+        def counting_scan(nu, k, ri, ro):
+            g, sure = _scan_cross(nu, k, ri, ro)
+            scanned.append(sure.size)
+            doubtful.append(int((~sure).sum()))
+            return g, sure
+
+        monkeypatch.setattr(bessel, "_scaled_cross", counting_exact)
+        monkeypatch.setattr(bessel, "_scan_cross", counting_scan)
+        nu, _, kmax, _ = annulus_scan(1.0, 2.0, 355.0)
+        roots = sum(t.size for t in cross_product_zeros(nu, 1.0, 2.0, kmax))
+        assert roots > 200 and sum(scanned) > 2000
+        assert sum(exact) <= 2 * roots + sum(doubtful)
+
+
 def one_order_at_a_time(finder, orders):
     """The one-order finder run order by order up to the first empty order:
     the zeros of each order before it, and that order (None if none is
@@ -268,18 +410,25 @@ class TestBatchedTables:
 
     def test_non_finite_samples_raise_only_before_the_first_empty_order(self):
         """cos x - nu has zeros for nu = 0 and none for nu = 2; order 3 samples
-        NaN.  An order-by-order scan reaches order 3 only without order 2."""
+        NaN.  An order-by-order scan reaches order 3 only without order 2.
+        The same holds when a sign scan samples the grid: it certifies no
+        NaN, so the exact function is evaluated there and raises."""
         def fake(nu, x, slope=False):
             f = np.where(nu == 3, np.nan, np.cos(x) - nu)
             return (f, -np.sin(x)) if slope else f
 
-        def scan(orders):
-            nu = np.array(orders)
-            return _roots(fake, nu, np.full(nu.size, 0.5), 10.0, 0.25)
+        def fake_scan(nu, x):
+            f = fake(nu, x).astype(np.float32).astype(float)
+            return f, np.abs(f) > 1e-3
 
-        with pytest.raises(ConvergenceError, match="non-finite"):
-            scan([0, 3, 2])
-        table = scan([0, 2, 3])
-        assert len(table) == 1
-        np.testing.assert_allclose(table[0], [math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2],
-                                   rtol=1e-15)
+        def scan(orders, sign_scan):
+            nu = np.array(orders)
+            return _roots(fake, nu, np.full(nu.size, 0.5), 10.0, 0.25, sign_scan)
+
+        for sign_scan in (None, fake_scan):
+            with pytest.raises(ConvergenceError, match="non-finite"):
+                scan([0, 3, 2], sign_scan)
+            table = scan([0, 2, 3], sign_scan)
+            assert len(table) == 1
+            np.testing.assert_allclose(table[0], [math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2],
+                                       rtol=1e-15)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from confinedgas.geometry import (
     polygon_spec_from_text,
     thermal_wavelength,
     weyl_state_sum,
+    weyl_terms,
 )
 from confinedgas.statfun import StatKind
 
@@ -257,6 +259,19 @@ class TestWeylStateSum:
         dom = make_domain(Rectangle(1.0, 1.0))
         with pytest.raises(ModelError):
             weyl_state_sum(dom, 2.0)
+
+
+    def test_bulk_term_divides_by_the_correctly_rounded_square(self):
+        """area / lam^2 divides by lam * lam, never by libm's pow (which
+        misrounds lam = 0.03240386053157679, among others, by 1 ulp)."""
+        dom = make_domain(Disk(0.4509480095465535))
+        lams = np.exp(np.random.default_rng(20).uniform(-7.0, 7.0, 2000)).tolist()
+        for lam in [0.03240386053157679, *lams]:
+            assert weyl_terms(dom, lam)[0] == dom.area / float(Fraction(lam) ** 2), lam
+
+    def test_wavelength_whose_square_overflows_is_refused(self):
+        with pytest.raises(DomainError):
+            weyl_terms(make_domain(Disk(1.0)), 1e155)
 
 
 class TestShapeParsing:

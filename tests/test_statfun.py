@@ -127,6 +127,14 @@ class TestClosedForms:
         assert fv.method is Method.CLOSED_FORM
         assert abs(fv.value - math.log(2.0)) < 1e-15
 
+    def test_minus_one_closed_form_squares_correctly_rounded(self):
+        """z / (1 -+ z)^2 divides by the correctly rounded square."""
+        zs = np.random.default_rng(20).uniform(0.0, 1.0, 2000).tolist()
+        for z in zs:
+            for bose, w in ((True, 1.0 - z), (False, 1.0 + z)):
+                want = z / float(Fraction(w) ** 2)
+                assert statfun._closed_form(bose, -2, z).value == want, (bose, z)
+
     def test_closed_form_rejects_bose_unity(self):
         with pytest.raises(DomainError, match="diverges"):
             eval_h(BOSE, 1, 1.0)

@@ -118,6 +118,14 @@ class TestAux2D:
         fd = richardson(lambda temp: solve_fugacity(BOSE, dom, N, temp)[0].z, T)
         assert abs(analytic - fd) / abs(fd) < 1e-6
 
+    def test_sigma2_squares_its_bracket_correctly_rounded(self):
+        """sigma2 is the square of its bracket, 1.007706372356126 here.
+        libm's pow, behind bracket**2, gave 1.015472132887143, 1 ulp below
+        the correctly rounded bracket * bracket."""
+        dom = make_domain(Annulus(1.4460835264606646, 2.891829909631392))
+        aux = aux_2d(BOSE, 0.0028836976095925615, 28.902975457706088, dom)
+        assert aux.sigma2 == 1.0154721328871432
+
     def test_singularity_guard(self):
         # Divergent h_0 with tiny N drives the square-root argument negative.
         with pytest.raises(SingularityError):
