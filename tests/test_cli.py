@@ -425,7 +425,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("shape, cutoff, digest", [
         ("disk:1", "520", "582ed3bf4a888ec0317b2e17955325393733b02eb1af957ebdf9b0abaa11f53e"),
-        ("annulus:1,2", "300", "96f4690c85e1ea9d564bf76b80aa82ec1bcfa1e5c1982617c9d64a0d79ce3247"),
+        ("annulus:1,2", "300", "a015c9eeacaf48407d69d3ccb652987f889da60e4705692525ba379a6ae68c13"),
         ("rect:1.3,0.7", "2000", "d7669ad60b4d6eb3cdc01040462e8bbc7bb4fd483bc366d9fadadfaf8f232836"),
     ])
     def test_pinned_spectrum_bytes(self, shape, cutoff, digest):
