@@ -176,7 +176,8 @@ def main() -> None:
 def cmd_specfun(stat, order_text, z_value, z_grid, fmt, out):
     """Evaluate h_sigma(z): columns z, value, error_bound, method.
 
-    method is ClosedForm, Series or Inversion (Fermi z > 0.99).
+    method is ClosedForm, Series, Taylor (Fermi 1/2 < z < 2) or Inversion
+    (Fermi z >= 2).
     """
     kind = StatKind(stat)
     order = _parse_order(order_text)

@@ -423,8 +423,8 @@ def _solve(stat, container, N, T, tol=1e-12):
     solve evaluated at z*.
 
     Series values there were summed under the solver's tail budgets; the
-    closed forms and inversions are the values any h_orders call at z*
-    returns.
+    closed forms, Taylor values and inversions are the values any h_orders
+    call at z* returns.
     """
     if not (N > 0.0) or not math.isfinite(N):
         raise DomainError(f"particle number must be positive, got {N}")

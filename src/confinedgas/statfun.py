@@ -22,9 +22,11 @@ produced it.  Nothing is memoised: equal arguments are simply recomputed.
 Method selection:
 
 * exact closed forms for sigma in {1, 0, -1};
-* the defining power series for 0 < z <= 0.99 (and for all Bose z < 1,
-  where the series is the only convergent representation);
-* exact inversion formulas for Fermi z > 0.99: Jonquiere's formula with an
+* the defining power series for Fermi z <= 1/2 (``TAYLOR_Z_LO``) and for
+  all Bose z < 1, where the series is the only convergent representation;
+* the Taylor series in u = ln z with Dirichlet-eta coefficients for Fermi
+  1/2 < z < 2 (``TAYLOR_Z_HI``);
+* exact inversion formulas for Fermi z >= 2: Jonquiere's formula with an
   Euler-Maclaurin Hurwitz zeta for the half-integer orders, and the
   dilogarithm inversion with Landen's identity for sigma = 2;
 * zeta(sigma) for Bose z = 1, finite only for sigma > 1.
@@ -34,7 +36,7 @@ domain check.  The caps are fixed: Fermi z up to ``FERMI_Z_MAX`` and at
 most ``SERIES_TERM_CAP`` series terms.
 
 Importing this module does not load numpy: the series route imports it at
-its first call, so closed forms and Fermi inversion run without it.
+its first call, so closed forms and every Fermi z > 1/2 run without it.
 
 All functions are pure and thread-safe.
 """
@@ -65,7 +67,8 @@ __all__ = [
     "ALL_ORDERS",
     "FERMI_Z_MAX",
     "SERIES_TERM_CAP",
-    "METHOD_SWITCH_Z",
+    "TAYLOR_Z_LO",
+    "TAYLOR_Z_HI",
     "eval_h",
     "h_orders",
 ]
@@ -83,10 +86,13 @@ FERMI_Z_MAX = 1e8
 #: Cap on the number of series terms before giving up.
 SERIES_TERM_CAP = 10**6
 
-#: Fermi evaluations switch from series to the inversion formulas above this
-#: z.  The geometric tail bound of the series degrades like 1/(1-z), while
-#: the inversion formulas cost the same for every z.
-METHOD_SWITCH_Z = 0.99
+#: Fermi evaluations use the Taylor series in ln z on the open band
+#: TAYLOR_Z_LO < z < TAYLOR_Z_HI, the direct series at and below it and the
+#: inversion formulas at and above it.  The direct series needs about
+#: 1/(1-z) terms as z nears 1; on the band |ln z|/pi < 0.221, where 24
+#: Taylor terms suffice for every order.
+TAYLOR_Z_LO = 0.5
+TAYLOR_Z_HI = 2.0
 
 # Riemann zeta at the orders with a finite Bose z->1 limit.
 _ZETA = {
@@ -178,6 +184,7 @@ ALL_ORDERS = (MINUS_ONE, MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, TWO, FIVE_HA
 class Method(enum.Enum):
     CLOSED_FORM = "ClosedForm"
     SERIES = "Series"
+    TAYLOR = "Taylor"
     INVERSION = "Inversion"
 
 
@@ -302,6 +309,115 @@ def _series(stat: StatKind, sigma: Order, z: float, tail_bound: float) -> Functi
         f"(achieved tail bound {achieved:.3e}, requested {tail_bound:.3e})",
         achieved=achieved,
     )
+
+
+# ---------------------------------------------------------------------------
+# Taylor series in ln z (Fermi)
+# ---------------------------------------------------------------------------
+
+#: Terms K of the Taylor series in u = ln z.
+_TAYLOR_TERMS = 24
+
+
+def _taylor(tail_const: float, tail_ratio: float, coefs):
+    """One order's (coefficients, tail constant, tail ratio).
+
+    The coefficients eta(s-k)/k! come highest k first, for Horner, each
+    paired with its modulus.  The tail after K terms is at most
+    tail_const |u|^K / (1 - tail_ratio |u|): with x = k + 1 - s the
+    functional equation gives |eta(s-k)| <= (1 + 2^x) 2 zeta(x) Gamma(x)
+    (2 pi)^-x, so term k is at most 2 zeta(x) (1 + 2^-x) Gamma(x) |u|^k /
+    (pi^x k!), and the ratio of consecutive bounds is at most
+    max(1, (K+1-s)/(K+1)) |u|/pi for every k >= K.
+    """
+    return tuple((c, abs(c)) for c in reversed(coefs)), tail_const, tail_ratio
+
+
+#: The constants of the orders 2s = -1, 1, 3, 4, 5 as float literals: (tail
+#: constant, tail ratio, eta(s-k)/k! for k = 0 to K-1).
+#: ``test_taylor_constants`` rebuilds each from mpmath's ``altzeta``.
+_TAYLOR = {
+    -1: _taylor(2.091736317678692e-12, 0.3246760839074665, (
+        0.38010481260968404, 0.11868087071984021, -0.04392056036068142,
+        -0.01600793400752053, 0.005700887887745273, 0.001992677670128497,
+        -0.0006867657508012461, -0.0002341765289485769, 7.919477481503303e-05,
+        2.6608425421925626e-05, -8.893152805873582e-06, -2.9594437531264216e-06,
+        9.812703339133996e-07, 3.243613563734763e-07, -1.069348259047411e-07,
+        -3.517302506100715e-08, 1.1545794050767608e-08, 3.783232743341367e-09,
+        -1.2376915044861294e-09, -4.0433705868244165e-10, 1.3192209519276094e-10,
+        4.2991919178303803e-11, -1.3995770011671232e-11, -4.551839610743787e-12,
+    )),
+    1: _taylor(2.6821974391177176e-13, 0.3183098861837907, (
+        0.6048986434216304, 0.38010481260968404, 0.059340435359920105,
+        -0.014640186786893807, -0.004001983501880133, 0.0011401775775490546,
+        0.0003321129450214161, -9.81093929716066e-05, -2.927206611857211e-05,
+        8.799419423892559e-06, 2.6608425421925627e-06, -8.084684368975983e-07,
+        -2.4662031276053515e-07, 7.548233337795382e-08, 2.316866831239116e-08,
+        -7.128988393649406e-09, -2.198314066312947e-09, 6.791643559275064e-10,
+        2.1017959685229815e-10, -6.514165813084892e-11, -2.021685293412208e-11,
+        6.282004532988617e-12, 1.9541781444683547e-12, -6.085117396378797e-13,
+    )),
+    3: _taylor(3.5856904172485485e-14, 0.3183098861837907, (
+        0.765147024625408, 0.6048986434216304, 0.19005240630484202,
+        0.019780145119973367, -0.0036600466967234516, -0.0008003967003760266,
+        0.00019002959625817576, 4.744470643163088e-05, -1.2263674121450824e-05,
+        -3.252451790952457e-06, 8.799419423892559e-07, 2.4189477656296024e-07,
+        -6.737236974146653e-08, -1.8970793289271934e-08, 5.391595241282416e-09,
+        1.5445778874927442e-09, -4.455617746030879e-10, -1.2931259213605571e-10,
+        3.773135310708369e-11, 1.1062084044857797e-11, -3.257082906542446e-12,
+        -9.62707282577242e-13, 2.8554566059039166e-13, 8.496426715079803e-14,
+    )),
+    4: _taylor(1.3324286106060675e-14, 0.3183098861837907, (
+        0.8224670334241132, 0.6931471805599453, 0.25, 0.041666666666666664, 0.0,
+        -0.0010416666666666667, 0.0, 4.96031746031746e-05, 0.0, -2.927965167548501e-06,
+        0.0, 1.941538399871733e-07, 0.0, -1.3870999114054669e-08, 0.0,
+        1.0440290284867003e-09, 0.0, -8.167010963952224e-11, 0.0, 6.5812165661369675e-12,
+        0.0, -5.429792727596475e-13, 0.0, 4.5664875671936356e-14,
+    )),
+    5: _taylor(5.006569143161498e-15, 0.3183098861837907, (
+        0.8671998890121841, 0.765147024625408, 0.3024493217108152, 0.063350802101614,
+        0.004945036279993342, -0.0007320093393446903, -0.0001333994500626711,
+        2.7147085179739394e-05, 5.93058830395386e-06, -1.3626304579389804e-06,
+        -3.252451790952457e-07, 7.99947220353869e-08, 2.0157898046913355e-08,
+        -5.18248998011281e-09, -1.3550566635194238e-09, 3.5943968275216103e-10,
+        9.653611796829651e-11, -2.620951615312282e-11, -7.184032896447539e-12,
+        1.9858606898465096e-12, 5.531042022428899e-13, -1.5509918602583076e-13,
+        -4.375942193532918e-14, 1.2415028721321378e-14,
+    )),
+}
+
+
+def _fermi_taylor(sigma: Order, z: float) -> FunctionValue:
+    """Fermi f_sigma(z) for the orders without a closed form, by the Taylor
+    series in u = ln z (DLMF 25.12.12 with Li_s(-e^u)):
+
+        f_s(e^u) = sum_k eta(s-k) u^k / k!,   |u| < pi,
+
+    where eta(s) = (1 - 2^(1-s)) zeta(s).  Nothing cancels at z = 1, and on
+    the dispatch band |u|/pi < 0.221, so K = 24 terms leave a tail below
+    5e-16.  One Horner loop sums the series, S0 = sum |c_k| |u|^k and the
+    derivative of S0 in |u|, which gives S1 = sum k |c_k| |u|^k.  The bound
+    adds to the doubled tail (doubling covers the rounding of its constants
+    and of its evaluation) eps/2 (S0 + 2 S1) for Horner's rule (Higham,
+    Accuracy and Stability of Numerical Algorithms, eq. 5.3: coefficient k
+    carries 2k + 1 roundings), eps/2 S0 for the rounded coefficients and
+    eps S1 for the rounding of ln z, within one ulp; the factor 1.01 covers
+    second-order terms and the rounding of S0 and S1.  Every bound on the
+    band is below 1e-15.  Any z > 0 is accepted, with an infinite bound
+    where the tail is not geometric.
+    """
+    coefs, tail_const, tail_ratio = _TAYLOR[sigma.twice]
+    u = math.log(z)
+    a = abs(u)
+    value = size = slope = 0.0
+    for coef, coef_abs in coefs:
+        slope = slope * a + size
+        value = value * u + coef
+        size = size * a + coef_abs
+    ratio = tail_ratio * a
+    tail = tail_const * a**_TAYLOR_TERMS / (1.0 - ratio) if ratio < 1.0 else math.inf
+    bound = 1.01 * _EPS * (size + 2.0 * a * slope) + 2.0 * tail
+    return FunctionValue(value, bound, Method.TAYLOR)
 
 
 # ---------------------------------------------------------------------------
@@ -511,17 +627,21 @@ def h_orders(stat: StatKind, z: float, orders, tail_bounds=None) -> tuple[Functi
     with repeats allowed; the result holds one :class:`FunctionValue` per
     entry.  z is checked once: Bose requires z < 1 (z = 1 allowed for
     sigma > 1, where g_sigma(1) = zeta(sigma)); Fermi requires
-    z <= ``FERMI_Z_MAX``.  The closed forms are computed inline, and the
-    Fermi half-integer orders above ``METHOD_SWITCH_Z`` share the roots of
-    Jonquiere's formula.
+    z <= ``FERMI_Z_MAX``.  The closed forms are computed inline.  The
+    other orders take the direct series for Bose and for Fermi
+    z <= ``TAYLOR_Z_LO``, the Taylor series in ln z for Fermi
+    ``TAYLOR_Z_LO`` < z < ``TAYLOR_Z_HI``, and the inversion formulas for
+    Fermi z >= ``TAYLOR_Z_HI``, where the half-integer orders share the
+    roots of Jonquiere's formula.
 
     ``tail_bounds`` is None or one positive series tail target per order; a
-    series order whose target is not positive raises DomainError.  None
-    applies the 1e-12 target, which keeps every certified bound within the
-    module accuracy contract; a looser target waives that contract for its
-    order (abs_error_bound still reports what was achieved).  The fugacity
-    solver passes them so that near the Bose condensation point, where the
-    series get long, it stays within ``SERIES_TERM_CAP``.
+    series order whose target is not positive raises DomainError, and the
+    Taylor and inversion routes ignore it.  None applies the 1e-12 target,
+    which keeps every certified bound within the module accuracy contract;
+    a looser target waives that contract for its order (abs_error_bound
+    still reports what was achieved).  The fugacity solver passes them so
+    that near the Bose condensation point, where the series get long, it
+    stays within ``SERIES_TERM_CAP``.
 
     Raises
     ------
@@ -548,11 +668,13 @@ def h_orders(stat: StatKind, z: float, orders, tail_bounds=None) -> tuple[Functi
             out.append(FunctionValue(value, 4.0 * _EPS * value, Method.CLOSED_FORM))
         elif twice in (2, 0, -2):
             out.append(_closed_form(bose, twice, z))
-        elif bose or z <= METHOD_SWITCH_Z:
+        elif bose or z <= TAYLOR_Z_LO:
             tail = 1e-12 if tail_bounds is None else float(tail_bounds[i])
             if not tail > 0.0:
                 raise DomainError(f"series tail target {tail} must be positive")
             out.append(_series(stat, sigma, z, tail))
+        elif z < TAYLOR_Z_HI:
+            out.append(_fermi_taylor(sigma, z))
         else:
             if nodes is None and twice != 4:
                 nodes = _jonquiere_nodes(z)

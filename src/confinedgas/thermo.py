@@ -242,17 +242,17 @@ def _thermo_2d_from_state(dom, state: GasState, aux: Aux2D, h):
 
 
 #: Methods whose values at z do not depend on a series tail target.
-_EXACT_AT_Z = (Method.CLOSED_FORM, Method.INVERSION)
+_EXACT_AT_Z = (Method.CLOSED_FORM, Method.TAYLOR, Method.INVERSION)
 
 
 def _row(stat, container, N, T, orders, aux_fn, forms_fn) -> ThermoReport:
     """Solve the state point, read one h table at z* and fill the closed
     forms.
 
-    The table reuses the closed forms and inversions the solve evaluated at
-    z*, which any h_orders call there returns bit for bit, and evaluates
-    the other orders in one call; series values were summed under the
-    solver's tail budgets, so they are summed again.
+    The table reuses the closed forms, Taylor values and inversions the
+    solve evaluated at z*, which any h_orders call there returns bit for
+    bit, and evaluates the other orders in one call; series values were
+    summed under the solver's tail budgets, so they are summed again.
     """
     state, validity, solved = _solve(stat, container, N, T)
     h = {o: fv.value for o, fv in solved.items() if fv.method in _EXACT_AT_Z}

@@ -211,12 +211,15 @@ class TestQuadratureAndRecurrence:
         assert abs(got.value - 1.2813803831597696) < 1e-12
 
     def test_recurrence_matches_series_below_switch(self):
-        """Order -1/2, formerly the order-recurrence route, just below the
-        switch: the inversion runs outside its dispatch region."""
-        s = eval_h(FERMI, MINUS_HALF, 0.98)
-        assert s.method is Method.SERIES
-        r = statfun._inversion(MINUS_HALF, 0.98)
-        assert abs(s.value - r.value) <= s.abs_error_bound + r.abs_error_bound
+        """Order -1/2, formerly the order-recurrence route, at z = 0.98:
+        the Taylor route that owns it agrees with the series and with the
+        inversion, both called outside their dispatch regions."""
+        t = eval_h(FERMI, MINUS_HALF, 0.98)
+        assert t.method is Method.TAYLOR
+        assert _bits(t) == _bits(statfun._fermi_taylor(MINUS_HALF, 0.98))
+        for other in (statfun._series(FERMI, MINUS_HALF, 0.98, 1e-12),
+                      statfun._inversion(MINUS_HALF, 0.98)):
+            assert abs(t.value - other.value) <= t.abs_error_bound + other.abs_error_bound
 
     def test_recurrence_matches_lowered_oracle(self):
         for z in (1.5, 10.0, 1e4):
@@ -270,6 +273,56 @@ class TestQuadratureAndRecurrence:
                              / mp.gamma(mp.mpf(float(s))))
                 assert remainder <= c.remainder <= (1 + 8 * EPS) * remainder, twice
                 assert abs(c.prefactor - prefactor) <= 4 * EPS * abs(prefactor), twice
+
+    def test_taylor_constants(self):
+        """The shipped Taylor coefficients are the floats of eta(s-k)/k! from
+        mpmath's altzeta at 40 digits.  The tail constants are within 4 eps
+        of the functional-equation bound 2 zeta(x) (1 + 2^-x) Gamma(x) /
+        (pi^x K!), x = K + 1 - s, and of the ratio max(1, x/(K+1))/pi, and
+        the tail they give at |ln z| = ln 2 covers 100 more terms summed by
+        mpmath."""
+        K = statfun._TAYLOR_TERMS
+        assert sorted(statfun._TAYLOR) == [-1, 1, 3, 4, 5]
+        with mp.workdps(40):
+            for twice, (coefs, tail_const, tail_ratio) in statfun._TAYLOR.items():
+                s = mp.mpf(twice) / 2
+                want = [float(mp.altzeta(s - k) / mp.factorial(k)) for k in range(K - 1, -1, -1)]
+                assert [coef for coef, _ in coefs] == want, twice
+                assert [size for _, size in coefs] == [abs(v) for v in want], twice
+                x = K + 1 - s
+                const = (2 * mp.zeta(x) * (1 + mp.mpf(2) ** -x) * mp.gamma(x)
+                         / (mp.pi**x * mp.factorial(K)))
+                ratio = max(mp.mpf(1), x / (K + 1)) / mp.pi
+                assert abs(tail_const - const) <= 4 * EPS * const, twice
+                assert abs(tail_ratio - ratio) <= 4 * EPS * ratio, twice
+                a = mp.log(2)
+                tail = sum(abs(mp.altzeta(s - k)) / mp.factorial(k) * a**k
+                           for k in range(K, K + 100))
+                assert tail <= tail_const * a**K / (1 - tail_ratio * a), twice
+
+    def test_taylor_bound_sweep_against_mpmath(self):
+        """The Taylor route on [1/2, 2], both endpoints and 300 log-uniform
+        draws, all five orders: every bound is at most 1e-14 and covers
+        |value - mpmath| at 30 digits.  mpmath's polylog takes about 40 ms
+        near z = 1 at half-integer orders, so those orders use its Hurwitz
+        zeta in Jonquiere's formula (DLMF 25.12.13) instead."""
+
+        def exact(s, z):
+            if s == 2:
+                return -mp.polylog(2, -z)
+            s = mp.mpf(s)
+            a = mp.mpf(0.5) - 1j * mp.log(z) / (2 * mp.pi)
+            return -mp.re((2 * mp.pi) ** s * mp.expjpi(s / 2) * mp.zeta(1 - s, a)) / mp.gamma(s)
+
+        rng = np.random.default_rng(25)
+        zs = [0.5, 2.0] + np.exp(rng.uniform(math.log(0.5), math.log(2.0), 300)).tolist()
+        with mp.workdps(30):
+            for sigma in (MINUS_HALF, HALF, THREE_HALVES, TWO, FIVE_HALVES):
+                for z in zs:
+                    got = statfun._fermi_taylor(sigma, z)
+                    want = exact(sigma.value, mp.mpf(z))
+                    assert abs(mp.mpf(got.value) - want) <= got.abs_error_bound <= 1e-14, (
+                        sigma, z, got)
 
     def test_large_z_cap(self):
         """The fixed Fermi cap FERMI_Z_MAX = 1e8 is admissible; above it is not."""
@@ -333,8 +386,10 @@ def _route(stat, sigma, z, tail=1e-12):
         return statfun.FunctionValue(value, 4.0 * statfun._EPS * value, Method.CLOSED_FORM)
     if sigma in (ONE, ZERO, MINUS_ONE):
         return statfun._closed_form(stat is BOSE, sigma.twice, z)
-    if stat is BOSE or z <= statfun.METHOD_SWITCH_Z:
+    if stat is BOSE or z <= statfun.TAYLOR_Z_LO:
         return statfun._series(stat, sigma, z, tail)
+    if z < statfun.TAYLOR_Z_HI:
+        return statfun._fermi_taylor(sigma, z)
     return statfun._inversion(sigma, z)
 
 
@@ -373,7 +428,8 @@ class TestBatchedOrders:
     """h_orders returns what the single-route functions return, bit for bit."""
 
     FERMI_Z = tuple(np.logspace(-8.0, 8.0, 41)) + (
-        0.98, 0.99, math.nextafter(0.99, 1.0), 0.995, 1.0, 1.01, 10.004453755819583)
+        0.5, math.nextafter(0.5, 1.0), 0.98, 0.99, math.nextafter(0.99, 1.0), 0.995, 1.0, 1.01,
+        math.nextafter(2.0, 0.0), 2.0, 10.004453755819583)
     BOSE_Z = tuple(np.logspace(-8.0, math.log10(0.999), 25)) + (
         0.98, 0.99, 0.995, 1.0 - 1e-5, 1.0 - 1e-8, 1.0)
 
@@ -387,12 +443,12 @@ class TestBatchedOrders:
 
     def test_dense_grid_closed_forms_and_inversion(self):
         """Dense grids for the routes without series: a rounding change in a
-        closed form or in the shared Jonquiere roots shows up in a few z
-        per thousand."""
+        closed form, the Taylor route or the shared Jonquiere roots shows up
+        in a few z per thousand."""
         closed = (ONE, ZERO, MINUS_ONE)
         inverted = (MINUS_HALF, HALF, THREE_HALVES, TWO, FIVE_HALVES)
         for z in map(float, np.logspace(-8.0, 8.0, 4001)):
-            orders = closed + inverted if z > statfun.METHOD_SWITCH_Z else closed
+            orders = closed + inverted if z > statfun.TAYLOR_Z_LO else closed
             want = _expected(FERMI, z, orders, [1e-12] * len(orders))
             assert _batched(FERMI, z, orders) == want, z
         for z in map(float, 1.0 - np.logspace(-8.0, -0.01, 4001)):
@@ -459,14 +515,15 @@ class TestInvariants:
                         stat, sigma, z)
 
     def test_method_cross_agreement(self):
-        """Any two admissible methods agree within their combined bounds;
-        below the switch the inversion is called as a private route."""
+        """The Taylor route agrees with the series and with the inversion
+        within their combined bounds, each called as a private route."""
         for z in (0.3, 0.9, 0.98, 0.99):
             for sigma in (MINUS_HALF, HALF, THREE_HALVES, TWO, FIVE_HALVES):
-                s = eval_h(FERMI, sigma, z)
-                assert s.method is Method.SERIES
-                q = statfun._inversion(sigma, z)
-                assert abs(s.value - q.value) <= s.abs_error_bound + q.abs_error_bound
+                t = statfun._fermi_taylor(sigma, z)
+                for other in (statfun._series(FERMI, sigma, z, 1e-12),
+                              statfun._inversion(sigma, z)):
+                    assert abs(t.value - other.value) <= (
+                        t.abs_error_bound + other.abs_error_bound), (sigma, z, other.method)
 
     def test_against_mpmath_sweep(self):
         rng = np.random.default_rng(7)

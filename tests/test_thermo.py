@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confinedgas import thermo
+from confinedgas import statfun, thermo
 from confinedgas.errors import ConfinedGasError, SingularityError
-from confinedgas.eos import solve_fugacity
+from confinedgas.eos import particle_number, solve_fugacity
 from confinedgas.geometry import (
     Annulus,
     Disk,
@@ -377,9 +377,10 @@ def _row_or_refusal(stat, container, N, T):
 )
 def test_row_reuse_is_bit_identical_to_a_fresh_table(stat, shape, tube, aspect, log10_ratio,
                                                      log10_fill):
-    """A row reuses the closed forms and inversions its solve evaluated at
-    z*; filled instead from a fresh h table at the same z*, every number of
-    the report is the same bit for bit, and a refusal is the same class."""
+    """A row reuses the closed forms, Taylor values and inversions its solve
+    evaluated at z*; filled instead from a fresh h table at the same z*,
+    every number of the report is the same bit for bit, and a refusal is
+    the same class."""
     dom = make_domain(shape)
     lam = 10.0**log10_ratio * math.sqrt(dom.area)
     T = 2.0 * math.pi / lam**2
@@ -398,6 +399,27 @@ def test_row_reuse_is_bit_identical_to_a_fresh_table(stat, shape, tube, aspect, 
     with mock.patch.object(thermo, "_solve", solve_without_values):
         fresh = _row_or_refusal(stat, container, N, T)
     assert reused == fresh
+
+
+@pytest.mark.parametrize("z_star, series_calls", ((0.953, False), (1.01, False), (0.3, True)))
+def test_degenerate_fermi_row_sums_no_direct_series(z_star, series_calls):
+    """A Fermi disk row at z* = 0.953 or 1.01 takes every non-closed-form h
+    of its solve and its table from the Taylor route: a wrapper counts no
+    direct-series call.  The row at z* = 0.3 shows that the wrapper counts."""
+    dom = make_domain(Disk(1.0))
+    T = 50.0
+    N = particle_number(FERMI, dom, thermal_wavelength(T), z_star)
+    calls = []
+    series = statfun._series
+
+    def counting(*args):
+        calls.append(args)
+        return series(*args)
+
+    with mock.patch.object(statfun, "_series", counting):
+        rep = thermo_2d(FERMI, dom, N, T)
+    assert rep.state.z == pytest.approx(z_star, rel=1e-9)
+    assert bool(calls) is series_calls
 
 
 def test_cbrt_is_correctly_rounded():
