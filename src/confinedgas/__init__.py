@@ -51,6 +51,7 @@ from .geometry import (
 from .eos import (
     GasState,
     ValidityReport,
+    dz_dT,
     log_grand_potential,
     particle_number,
     pressure,
@@ -62,8 +63,6 @@ from .thermo import (
     ThermoReport,
     aux_2d,
     aux_3d,
-    dz_dT_2d,
-    dz_dT_3d,
     thermo_2d,
     thermo_3d,
 )

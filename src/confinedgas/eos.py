@@ -48,6 +48,7 @@ from .errors import (
     ModelError,
     NoBracketError,
     NonMonotoneError,
+    SingularityError,
 )
 from .geometry import PlanarDomain, TubeDomain, thermal_wavelength, weyl_terms
 from .statfun import ALL_ORDERS, FERMI_Z_MAX, StatKind, h_orders
@@ -64,6 +65,7 @@ __all__ = [
     "bracketed_root",
     "solve_fugacity",
     "pressure",
+    "dz_dT",
 ]
 
 #: Bose fugacities are refused within this margin of the condensation point.
@@ -624,12 +626,80 @@ def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasSta
     """
     weights, shift, _ = _model(container, state.lam)
     live = [o for w, o in zip(weights, _ORDERS[shift, 1]) if w != 0.0]
-    return _pressure(container, state, _h_table(stat, state.z, live))
+    ln_xi = sum(_terms(weights, shift, 1, _h_table(stat, state.z, live)))
+    return _pressure(weights, shift, state, ln_xi)
 
 
-def _pressure(container, state: GasState, h) -> float:
-    """pressure() from a table {order: h value} at state.z that holds the
-    ln Xi orders of the non-zero weights."""
-    weights, shift, _ = _model(container, state.lam)
-    ln_xi = _nonnegative("ln Xi", sum(_terms(weights, shift, 1, h)), state.lam, state.z)
+def _pressure(weights, shift, state: GasState, ln_xi: float) -> float:
+    """T ln Xi over the measure, the bulk weight times lam^(2 + shift); a
+    negative ln Xi is refused with ModelError."""
+    ln_xi = _nonnegative("ln Xi", ln_xi, state.lam, state.z)
     return state.T * ln_xi / (weights[0] * state.lam ** (2 + shift))
+
+
+# ---------------------------------------------------------------------------
+# thermodynamics from the term list
+# ---------------------------------------------------------------------------
+
+#: The exponents (a_0, a_1, a_2) by twice the shift: weight w_i is
+#: proportional to T^(a_i), a_i = (2 + shift - i)/2, since lam^2 = 2 pi/T.
+_EXPONENTS = {shift: tuple((2 + shift - i) / 2 for i in range(3)) for shift in (0, 1)}
+
+
+def _fixed_n(weights, shift, h):
+    """(sum_i a_i w_i h_(s_i), sum_i w_i h_(s_i - 1)): T dN/dT at fixed z
+    and z dN/dz, from a table {order: h value} that holds the orders of
+    offsets 0 and -1.  At fixed N, d ln z/d ln T is minus their ratio."""
+    w0, w1, w2 = weights
+    a0, a1, a2 = _EXPONENTS[shift]
+    n0, n1, n2 = _ORDERS[shift, 0]
+    d0, d1, d2 = _ORDERS[shift, -1]
+    return (a0 * (w0 * h[n0]) + a1 * (w1 * h[n1]) + a2 * (w2 * h[n2]),
+            w0 * h[d0] + w1 * h[d1] + w2 * h[d2])
+
+
+def dz_dT(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasState) -> float:
+    """dz/dT at fixed N: -z (sum_i a_i w_i h_(s_i)) / (T sum_i w_i h_(s_i - 1)).
+
+    N = sum_i w_i h_(s_i)(z) with w_i proportional to T^(a_i); holding it
+    fixed balances T dN/dT at fixed z against z dN/dz times d ln z/d ln T.
+    """
+    weights, shift, _ = _model(container, state.lam)
+    orders = list(dict.fromkeys(_ORDERS[shift, 0] + _ORDERS[shift, -1]))
+    t_dn_dt, z_dn_dz = _fixed_n(weights, shift, _h_table(stat, state.z, orders))
+    return -state.z * t_dn_dt / (state.T * z_dn_dz)
+
+
+def _thermo(container, state: GasState, h) -> tuple[float, float, float, float, float]:
+    """(U, F, S, C_V, P) from a table {order: h value} at state.z that
+    holds the seven orders of offsets +1, 0 and -1.
+
+    lam enters only through the weights, w_i proportional to T^(a_i), so
+    with ln Xi = sum_i w_i h_(s_i + 1)(z), and A, D the sums of ``_fixed_n``:
+
+        U   = T^2 d ln Xi/dT at fixed z = T sum_i a_i w_i h_(s_i + 1)
+        F   = N T ln z - T ln Xi
+        S   = sum_i (a_i + 1) w_i h_(s_i + 1) - N ln z,  which is (U - F)/T
+        C_V = dU/dT at fixed N = sum_i a_i (a_i + 1) w_i h_(s_i + 1) - A^2/D
+
+    and P is ``pressure``'s.  A non-finite U, F, S or C_V is refused with
+    SingularityError, then a negative ln Xi with ModelError.
+    """
+    weights, shift, _ = _model(container, state.lam)
+    w0, w1, w2 = weights
+    a0, a1, a2 = _EXPONENTS[shift]
+    o0, o1, o2 = _ORDERS[shift, 1]
+    x0, x1, x2 = w0 * h[o0], w1 * h[o1], w2 * h[o2]
+    t_dn_dt, z_dn_dz = _fixed_n(weights, shift, h)
+    n_ln_z = state.N * math.log(state.z)
+    U = state.T * (a0 * x0 + a1 * x1 + a2 * x2)
+    F = state.T * (n_ln_z - (x0 + x1 + x2))
+    S = (a0 + 1.0) * x0 + (a1 + 1.0) * x1 + (a2 + 1.0) * x2 - n_ln_z
+    C_V = (a0 * (a0 + 1.0) * x0 + a1 * (a1 + 1.0) * x1 + a2 * (a2 + 1.0) * x2
+           - t_dn_dt * t_dn_dt / z_dn_dz)
+    if not all(map(math.isfinite, (U, F, S, C_V))):
+        raise SingularityError(
+            f"U, F, S or C_V is not finite at z = {state.z:.6g}; the terms "
+            "overflow double precision"
+        )
+    return U, F, S, C_V, _pressure(weights, shift, state, x0 + x1 + x2)

@@ -1,21 +1,26 @@
-"""Thermodynamic quantities with boundary and connectivity corrections.
+"""Thermodynamic rows with boundary and connectivity corrections.
 
-The closed forms below express U, F, S and C_V of the confined gas through
-the integral family h_sigma(z), the particle number N and the geometry
-alone; the thermal wavelength has been eliminated via auxiliary
-coefficients (sigma2, eta2 in 2-D; sigma3, eta3, xi1..xi5 in 3-D tubes)
-that resolve the particle-number equation in closed form.  All auxiliary
-coefficients equal 1 for the free-space configuration (perimeter 0, one
-hole), where every expression collapses to the textbook ideal-gas form.
+A row solves the state point, reads one table of h values at the solved z
+and takes U, F, S, C_V and P from the model's term list (``eos._thermo``):
+each is a weighted sum of h values, exact within the model, and one
+function serves the plane and the tube.
 
-A row reads one table of h values at the solved z, and the public
-``aux_2d``/``aux_3d`` read the same orders.  Both run the closed forms
-under one overflow guard: a container whose powers of the geometry
-overflow is refused with SingularityError.
+Beside them a row reports the paper's auxiliary coefficients (sigma2, eta2
+in 2-D; sigma3, eta3, xi1..xi5 in 3-D tubes), the closed forms that
+eliminate the thermal wavelength by resolving the particle-number equation.
+In the plane they are exact; in a tube the cubic resolution of sigma3
+carries an O(1/N^2) remainder, which ``verify``'s ``sigma3-identity`` row
+measures.  All of them equal 1 for the free-space configuration (perimeter
+0, one hole).
 
-Conventions: k_B = 1; U, F, S and C_V are totals (not per particle); the
-identity S = (U - F)/T holds algebraically for the printed expressions and
-is enforced by the test-suite, not re-derived here.
+A row reads the orders the public ``aux_2d``/``aux_3d`` read.  The aux
+forms run under one overflow guard: a container whose powers of the
+geometry overflow is refused with SingularityError, as is a non-finite
+U, F, S or C_V.
+
+Conventions: k_B = 1; U, F, S and C_V are totals (not per particle).  S is
+its own sum, not (U - F)/T, so S = (U - F)/T is an identity the test-suite
+and ``verify`` check.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .eos import (
     GasState,
     ValidityReport,
     _h_table,
-    _pressure,
     _solve,
+    _thermo,
 )
 from .geometry import PlanarDomain, TubeDomain
 from .statfun import (
@@ -53,10 +58,8 @@ __all__ = [
     "DENOMINATOR_FLOOR",
     "aux_2d",
     "thermo_2d",
-    "dz_dT_2d",
     "aux_3d",
     "thermo_3d",
-    "dz_dT_3d",
 ]
 
 #: Denominators smaller than this produce SingularityError instead of values.
@@ -107,8 +110,8 @@ class ThermoReport:
     validity: ValidityReport
 
 
-#: The orders one row evaluates at z*: every order its closed forms read,
-#: and the ln Xi orders of the pressure.
+#: The orders one row evaluates at z*: those of its term-list sums at
+#: offsets +1, 0 and -1, which are also every order its aux forms read.
 _ROW_2D = (MINUS_ONE, MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, TWO)
 _ROW_3D = (MINUS_HALF, ZERO, HALF, ONE, THREE_HALVES, TWO, FIVE_HALVES)
 
@@ -178,11 +181,10 @@ def _no_overflow(z: float, form, *args):
 
 def aux_2d(stat: StatKind, z: float, N: float, dom: PlanarDomain) -> Aux2D:
     """Closed forms for sigma2 and eta2 at (z, N, geometry)."""
-    return _no_overflow(z, _aux_2d, _h_table(stat, z, _ROW_2D), N, dom)[0]
+    return _no_overflow(z, _aux_2d, _h_table(stat, z, _ROW_2D), N, dom)
 
 
-def _aux_2d(h, N: float, dom: PlanarDomain) -> tuple[Aux2D, tuple]:
-    """(Aux2D, ()): the closed forms have no roots for the row to reuse."""
+def _aux_2d(h, N: float, dom: PlanarDomain) -> Aux2D:
     L, O, r = dom.perimeter, dom.area, dom.holes
     hole_term = (1.0 - r) / (6.0 * N) * h[ZERO]
 
@@ -208,46 +210,16 @@ def _aux_2d(h, N: float, dom: PlanarDomain) -> tuple[Aux2D, tuple]:
         + (1.0 - r) / (6.0 * N) * (h[ONE] * h[MINUS_ONE] / h[ZERO]) / sigma2
     )
     eta2 = eta_num / _guard("eta2 denominator", eta_den)
-    return Aux2D(sigma2=sigma2, eta2=eta2), ()
-
-
-def _thermo_2d_from_state(dom, state: GasState, aux: Aux2D, h):
-    z, N, T = state.z, state.N, state.T
-    L, O, r = dom.perimeter, dom.area, dom.holes
-    sqn = math.sqrt(N)
-    shape = L / math.sqrt(O)
-    s2, e2 = aux.sigma2, aux.eta2
-    sqrt_s2 = math.sqrt(s2)
-
-    bulk_ratio = h[TWO] / h[ONE]
-    edge_ratio = h[THREE_HALVES] / math.sqrt(h[ONE])
-
-    u = bulk_ratio * s2 - (1.0 / (8.0 * sqn)) * shape * edge_ratio * sqrt_s2
-    f = math.log(z) - (
-        bulk_ratio * s2
-        - (1.0 / (4.0 * sqn)) * shape * edge_ratio * sqrt_s2
-        + (1.0 - r) / (6.0 * N) * h[ONE]
-    )
-    s = (
-        2.0 * bulk_ratio * s2
-        - math.log(z)
-        - (3.0 / (8.0 * sqn)) * shape * edge_ratio * sqrt_s2
-        + (1.0 - r) / (6.0 * N) * h[ONE]
-    )
-    c_v = s2 * (2.0 * bulk_ratio - e2 * h[ONE] / h[ZERO]) - (1.0 / sqn) * shape * sqrt_s2 * (
-        (3.0 / 16.0) * edge_ratio
-        - (1.0 / 8.0) * e2 * (math.sqrt(h[ONE]) * h[HALF] / h[ZERO])
-    )
-    return u * N * T, f * N * T, s * N, c_v * N
+    return Aux2D(sigma2=sigma2, eta2=eta2)
 
 
 #: Methods whose values at z do not depend on a series tail target.
 _EXACT_AT_Z = (Method.CLOSED_FORM, Method.TAYLOR, Method.INVERSION)
 
 
-def _row(stat, container, N, T, orders, aux_fn, forms_fn) -> ThermoReport:
-    """Solve the state point, read one h table at z* and fill the closed
-    forms.
+def _row(stat, container, N, T, orders, aux_fn) -> ThermoReport:
+    """Solve the state point, read one h table at z*, fill the aux closed
+    forms and take U, F, S, C_V and P from the model's term list.
 
     The table reuses the closed forms, Taylor values and inversions the
     solve evaluated at z*, which any h_orders call there returns bit for
@@ -257,22 +229,15 @@ def _row(stat, container, N, T, orders, aux_fn, forms_fn) -> ThermoReport:
     state, validity, solved = _solve(stat, container, N, T)
     h = {o: fv.value for o, fv in solved.items() if fv.method in _EXACT_AT_Z}
     h.update(_h_table(stat, state.z, [o for o in orders if o not in h]))
-    aux, roots = _no_overflow(state.z, aux_fn, h, N, container)
-    U, F, S, C_V = _no_overflow(state.z, forms_fn, container, state, aux, h, *roots)
-    P = _pressure(container, state, h)
+    aux = _no_overflow(state.z, aux_fn, h, N, container)
+    U, F, S, C_V, P = _thermo(container, state, h)
     return ThermoReport(U=U, F=F, S=S, C_V=C_V, P=P, state=state, aux=aux,
                         validity=validity)
 
 
 def thermo_2d(stat: StatKind, dom: PlanarDomain, N: float, T: float) -> ThermoReport:
-    """Solve the state point and fill every 2-D closed form."""
-    return _row(stat, dom, N, T, _ROW_2D, _aux_2d, _thermo_2d_from_state)
-
-
-def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D) -> float:
-    """dz/dT at fixed N: -(z/T) * h_1/h_0 * eta2 (always negative)."""
-    h = _h_table(stat, state.z, (ONE, ZERO))
-    return -(state.z / state.T) * (h[ONE] / h[ZERO]) * aux.eta2
+    """Solve the planar state point and fill its row."""
+    return _row(stat, dom, N, T, _ROW_2D, _aux_2d)
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +247,10 @@ def dz_dT_2d(stat: StatKind, state: GasState, aux: Aux2D) -> float:
 def aux_3d(stat: StatKind, z: float, N: float, tube: TubeDomain) -> Aux3D:
     """Closed forms for sigma3, eta3 and xi1..xi5, evaluated in dependency
     order xi5 -> xi4 -> xi3 -> xi2 -> xi1 -> sigma3 -> eta3."""
-    return _no_overflow(z, _aux_3d, _h_table(stat, z, _ROW_3D), N, tube)[0]
+    return _no_overflow(z, _aux_3d, _h_table(stat, z, _ROW_3D), N, tube)
 
 
-def _aux_3d(h, N: float, tube: TubeDomain) -> tuple[Aux3D, tuple[float, float]]:
-    """(Aux3D, (cbrt(h_3/2), cbrt(sigma3))): the row's closed forms reuse
-    the two cube roots."""
+def _aux_3d(h, N: float, tube: TubeDomain) -> Aux3D:
     dom = tube.cross_section
     L, O, r = dom.perimeter, dom.area, dom.holes
     lz = tube.length_z
@@ -336,7 +299,7 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> tuple[Aux3D, tuple[float, float]]:
     sigma3 = 1.0 / _guard("sigma3 bracket", sigma3_bracket) / _guard("xi1", xi1) ** 3
     if sigma3 < 0.0:
         # sigma3 = Lz*area*h_3/2/(N*lam^3) > 0 on any state the closed forms
-        # resolve; U, F and S take its 2/3 power.
+        # resolve.
         raise SingularityError(
             f"sigma3 = {sigma3:.3e} is negative; the closed form does not apply "
             "this far outside the validity region"
@@ -359,62 +322,9 @@ def _aux_3d(h, N: float, tube: TubeDomain) -> tuple[Aux3D, tuple[float, float]]:
     )
     eta3 = eta_num / _guard("eta3 denominator", eta_den)
 
-    aux = Aux3D(sigma3=sigma3, eta3=eta3, xi1=xi1, xi2=xi2, xi3=xi3, xi4=xi4, xi5=xi5)
-    return aux, (cbrt_h32, cbrt_s3)
-
-
-def _thermo_3d_from_state(tube: TubeDomain, state: GasState, aux: Aux3D, h,
-                          cbrt_h32: float, s3_13: float):
-    z, N, T = state.z, state.N, state.T
-    dom = tube.cross_section
-    L, O = dom.perimeter, dom.area
-    one_r = 1.0 - dom.holes
-    lz = tube.length_z
-    s3, e3 = aux.sigma3, aux.eta3
-    n13, n23 = N ** (1.0 / 3.0), N ** (2.0 / 3.0)
-
-    bulk_ratio = h[FIVE_HALVES] / h[THREE_HALVES]
-    edge_coeff = (lz ** (1.0 / 3.0) * L / O ** (2.0 / 3.0)) * (
-        h[TWO] / h[THREE_HALVES] ** (2.0 / 3.0)
-    )
-    hole_coeff = (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0)) * h[THREE_HALVES] ** (2.0 / 3.0)
-    s3_23 = s3 ** (2.0 / 3.0)
-
-    u = (
-        1.5 * bulk_ratio * s3
-        - (1.0 / (4.0 * n13)) * edge_coeff * s3_23
-        + one_r / (12.0 * n23) * hole_coeff * s3_13
-    )
-    f = math.log(z) - (
-        bulk_ratio * s3
-        - (1.0 / (4.0 * n13)) * edge_coeff * s3_23
-        + one_r / (6.0 * n23) * hole_coeff * s3_13
-    )
-    s = (
-        2.5 * bulk_ratio * s3
-        - math.log(z)
-        - (1.0 / (2.0 * n13)) * edge_coeff * s3_23
-        + one_r / (4.0 * n23) * hole_coeff * s3_13
-    )
-    c_v = (
-        s3 * (15.0 / 4.0 * bulk_ratio - 9.0 / 4.0 * e3 * h[THREE_HALVES] / h[HALF])
-        - (1.0 / n13) * (L * lz ** (1.0 / 3.0) / O ** (2.0 / 3.0)) * s3_23 * (
-            h[TWO] / (2.0 * h[THREE_HALVES] ** (2.0 / 3.0))
-            - (3.0 / 8.0) * e3 * (cbrt_h32 * h[ONE] / h[HALF])
-        )
-        + one_r / 6.0 / n23 * (lz ** (2.0 / 3.0) / O ** (1.0 / 3.0)) * s3_13 * (
-            (3.0 / 4.0) * (1.0 - e3) * h[THREE_HALVES] ** (2.0 / 3.0)
-        )
-    )
-    return u * N * T, f * N * T, s * N, c_v * N
+    return Aux3D(sigma3=sigma3, eta3=eta3, xi1=xi1, xi2=xi2, xi3=xi3, xi4=xi4, xi5=xi5)
 
 
 def thermo_3d(stat: StatKind, tube: TubeDomain, N: float, T: float) -> ThermoReport:
-    """Solve the tube state point and fill every 3-D closed form."""
-    return _row(stat, tube, N, T, _ROW_3D, _aux_3d, _thermo_3d_from_state)
-
-
-def dz_dT_3d(stat: StatKind, state: GasState, aux: Aux3D) -> float:
-    """dz/dT at fixed N: -(3/2)(z/T) * h_3/2/h_1/2 * eta3 (always negative)."""
-    h = _h_table(stat, state.z, (THREE_HALVES, HALF))
-    return -1.5 * (state.z / state.T) * (h[THREE_HALVES] / h[HALF]) * aux.eta3
+    """Solve the tube state point and fill its row."""
+    return _row(stat, tube, N, T, _ROW_3D, _aux_3d)

@@ -16,7 +16,7 @@ import numpy as np
 import confinedgas.certify  # noqa: F401
 import confinedgas.cli  # noqa: F401
 import confinedgas.spectral  # noqa: F401
-from confinedgas.statfun import StatKind
+from confinedgas.statfun import HALF, ONE, THREE_HALVES, ZERO, StatKind, eval_h
 
 
 def de_quad_h(stat: StatKind, sigma: float, z: float, h: float = 0.01,
@@ -66,3 +66,12 @@ def richardson(fn, x: float, rels=(1e-4, 1e-5)) -> float:
         step = rel * abs(x)
         d.append((fn(x + step) - fn(x - step)) / (2.0 * step))
     return (100.0 * d[1] - d[0]) / 99.0
+
+
+def implied_eta(stat: StatKind, state, dz_dT: float, tube: bool = False) -> float:
+    """The paper's eta that a dz/dT at fixed N implies at the state:
+    eta2 = -(T/z)(h_0/h_1) dz/dT in the plane and
+    eta3 = -(2T/(3z))(h_1/2/h_3/2) dz/dT in a tube."""
+    lo, hi, scale = (HALF, THREE_HALVES, 2.0 / 3.0) if tube else (ZERO, ONE, 1.0)
+    ratio = eval_h(stat, lo, state.z).value / eval_h(stat, hi, state.z).value
+    return -scale * (state.T / state.z) * ratio * dz_dT

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from confinedgas import statfun
-from confinedgas.eos import particle_number, solve_fugacity
+from confinedgas.eos import dz_dT, particle_number, solve_fugacity
 from confinedgas.geometry import (
     Annulus,
     Disk,
@@ -41,12 +41,10 @@ from confinedgas.statfun import (
 from confinedgas.thermo import (
     aux_2d,
     aux_3d,
-    dz_dT_2d,
-    dz_dT_3d,
     thermo_2d,
     thermo_3d,
 )
-from conftest import de_quad_h, richardson
+from conftest import de_quad_h, implied_eta, richardson
 
 BOSE, FERMI = StatKind.BOSE, StatKind.FERMI
 
@@ -196,24 +194,27 @@ def test_criterion_6_entropy_identity():
 
 
 def test_criterion_7_derivative_relations():
-    """dz/dT closed forms vs centred differences (1e-6); C_V vs Richardson
-    finite-difference dU/dT at fixed N (1e-4)."""
+    """dz/dT, and the eta2/eta3 closed forms through the dz/dT they imply,
+    vs centred differences (1e-6); C_V vs Richardson finite-difference
+    dU/dT at fixed N (1e-4)."""
     worst_dz = 0.0
     cases_2d = [(BOSE, Rectangle(2.0, 1.0), 80.0, 900.0),
                 (FERMI, Disk(1.0), 120.0, 1500.0)]
     for stat, shape, N, T in cases_2d:
         dom = make_domain(shape)
         state, _ = solve_fugacity(stat, dom, N, T)
-        analytic = dz_dT_2d(stat, state, aux_2d(stat, state.z, N, dom))
         fd = richardson(lambda temp: solve_fugacity(stat, dom, N, temp)[0].z, T)
-        worst_dz = max(worst_dz, abs(analytic - fd) / abs(fd))
+        eta_fd = implied_eta(stat, state, fd)
+        worst_dz = max(worst_dz, abs(dz_dT(stat, dom, state) - fd) / abs(fd),
+                       abs(aux_2d(stat, state.z, N, dom).eta2 - eta_fd) / abs(eta_fd))
     tube = TubeDomain(make_domain(Disk(1.0)), 500.0)
     cases_3d = [(BOSE, 1500.0, 150.0), (FERMI, 2500.0, 200.0)]
     for stat, N, T in cases_3d:
         state, _ = solve_fugacity(stat, tube, N, T)
-        analytic = dz_dT_3d(stat, state, aux_3d(stat, state.z, N, tube))
         fd = richardson(lambda temp: solve_fugacity(stat, tube, N, temp)[0].z, T)
-        worst_dz = max(worst_dz, abs(analytic - fd) / abs(fd))
+        eta_fd = implied_eta(stat, state, fd, tube=True)
+        worst_dz = max(worst_dz, abs(dz_dT(stat, tube, state) - fd) / abs(fd),
+                       abs(aux_3d(stat, state.z, N, tube).eta3 - eta_fd) / abs(eta_fd))
 
     worst_cv = 0.0
     for stat, shape, N, T in cases_2d:

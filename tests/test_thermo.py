@@ -1,4 +1,5 @@
-"""Tests for the corrected thermodynamic closed forms."""
+"""Tests for the corrected thermodynamics: U, F, S, C_V and dz/dT from the
+model's term list, and the paper's auxiliary closed forms."""
 
 import math
 import random
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from confinedgas import statfun, thermo
 from confinedgas.errors import ConfinedGasError, SingularityError
-from confinedgas.eos import particle_number, solve_fugacity
+from confinedgas.eos import dz_dT, particle_number, solve_fugacity
 from confinedgas.geometry import (
     Annulus,
     Disk,
@@ -37,12 +38,10 @@ from confinedgas.thermo import (
     _cbrt,
     aux_2d,
     aux_3d,
-    dz_dT_2d,
-    dz_dT_3d,
     thermo_2d,
     thermo_3d,
 )
-from conftest import richardson
+from conftest import implied_eta, richardson
 
 BOSE, FERMI = StatKind.BOSE, StatKind.FERMI
 
@@ -75,11 +74,11 @@ def random_states_3d(rng, count):
 
 
 def deep_validity_states_3d(rng, count):
-    """Large-N tube states where the cubic closed forms hold far below 1e-10.
+    """Large-N tube states, where 1/N^2 is negligible.
 
-    With both correction channels active (zero-hole sections) the printed
-    sigma3 resolution carries an O(1/N^2) remainder, so properties claimed
-    at the 1e-10 level are probed where 1/N^2 is negligible.
+    With both correction channels active (zero-hole sections) the paper's
+    cubic sigma3 resolution carries an O(1/N^2) remainder; here it lies far
+    below 1e-10.
     """
     sections = [Disk(1.0), Rectangle(1.0, 1.0), Annulus(1.0, 2.0)]
     for _ in range(count):
@@ -109,14 +108,15 @@ class TestAux2D:
         assert abs(aux.sigma2 - ident) / ident < 1e-8
 
     def test_eta2_matches_implicit_differentiation(self):
-        """eta2 via dz/dT against centred differences of the solver."""
+        """eta2 and dz/dT against centred differences of the solver."""
         dom = make_domain(Rectangle(1.0, 1.0))
         N, T = 100.0, 900.0
         state, _ = solve_fugacity(BOSE, dom, N, T)
         aux = aux_2d(BOSE, state.z, N, dom)
-        analytic = dz_dT_2d(BOSE, state, aux)
         fd = richardson(lambda temp: solve_fugacity(BOSE, dom, N, temp)[0].z, T)
-        assert abs(analytic - fd) / abs(fd) < 1e-6
+        eta_fd = implied_eta(BOSE, state, fd)
+        assert abs(aux.eta2 - eta_fd) / abs(eta_fd) < 1e-6
+        assert abs(dz_dT(BOSE, dom, state) - fd) / abs(fd) < 1e-6
 
     def test_sigma2_squares_its_bracket_correctly_rounded(self):
         """sigma2 is the square of its bracket, 1.007706372356126 here.
@@ -188,16 +188,15 @@ class TestDzDT2D:
         dom = free_plane(1.0)
         T = 2.0 * math.pi
         state, _ = solve_fugacity(FERMI, dom, N=math.log(2.0), T=T)
-        aux = aux_2d(FERMI, state.z, state.N, dom)
-        assert dz_dT_2d(FERMI, state, aux) == pytest.approx(-2.0 * math.log(2.0) / T,
-                                                            rel=1e-10)
+        assert aux_2d(FERMI, state.z, state.N, dom).eta2 == 1.0
+        assert dz_dT(FERMI, dom, state) == pytest.approx(-2.0 * math.log(2.0) / T, rel=1e-10)
 
     def test_sign_always_negative(self):
         rng = np.random.default_rng(13)
         for stat, dom, N, T in random_states_2d(rng, 15):
             state, _ = solve_fugacity(stat, dom, N, T)
-            aux = aux_2d(stat, state.z, N, dom)
-            assert dz_dT_2d(stat, state, aux) < 0.0
+            assert dz_dT(stat, dom, state) < 0.0
+            assert aux_2d(stat, state.z, N, dom).eta2 > 0.0
 
 
 class TestAux3D:
@@ -260,11 +259,13 @@ class TestThermo3D:
             assert abs(rep.S - (rep.U - rep.F) / rep.state.T) <= 1e-12 * abs(rep.S)
 
     def test_internal_energy_reconstruction(self):
-        """The closed-form U equals T^2 d(ln Xi)/dT at fixed z:
+        """U equals T^2 d(ln Xi)/dT at fixed z:
         T [ (3/2)(Lz A/lam^3) h_5/2 - (Lz L/(4 lam^2)) h_2
-            + ((1-r)/12)(Lz/lam) h_3/2 ]."""
+            + ((1-r)/12)(Lz/lam) h_3/2 ],
+        on large-N states and on ordinary ones, where the paper's cubic
+        closed forms differed from it by up to 8.3e-9."""
         rng = np.random.default_rng(6)
-        for stat, tube, N, T in deep_validity_states_3d(rng, 10):
+        for stat, tube, N, T in [*deep_validity_states_3d(rng, 10), *random_states_3d(rng, 40)]:
             rep = thermo_3d(stat, tube, N, T)
             lam, z = rep.state.lam, rep.state.z
             dom = tube.cross_section
@@ -288,11 +289,10 @@ class TestDzDT3D:
         tube = TubeDomain(free_plane(1.0), 1000.0)
         N, T = 50.0, 200.0
         state, _ = solve_fugacity(BOSE, tube, N, T)
-        aux = aux_3d(BOSE, state.z, N, tube)
-        assert aux.eta3 == 1.0
+        assert aux_3d(BOSE, state.z, N, tube).eta3 == 1.0
         want = -1.5 * (state.z / T) * (h(BOSE, THREE_HALVES, state.z)
                                        / h(BOSE, HALF, state.z))
-        assert dz_dT_3d(BOSE, state, aux) == pytest.approx(want, rel=1e-12)
+        assert dz_dT(BOSE, tube, state) == pytest.approx(want, rel=1e-12)
 
     def test_matches_finite_difference(self):
         tube = TubeDomain(make_domain(Disk(1.0)), 500.0)
@@ -300,16 +300,17 @@ class TestDzDT3D:
             N, T = 1200.0, 180.0
             state, _ = solve_fugacity(stat, tube, N, T)
             aux = aux_3d(stat, state.z, N, tube)
-            analytic = dz_dT_3d(stat, state, aux)
             fd = richardson(lambda temp: solve_fugacity(stat, tube, N, temp)[0].z, T)
-            assert abs(analytic - fd) / abs(fd) < 1e-6
+            eta_fd = implied_eta(stat, state, fd, tube=True)
+            assert abs(aux.eta3 - eta_fd) / abs(eta_fd) < 1e-6
+            assert abs(dz_dT(stat, tube, state) - fd) / abs(fd) < 1e-6
 
     def test_sign_always_negative(self):
         rng = np.random.default_rng(17)
         for stat, tube, N, T in random_states_3d(rng, 10):
             state, _ = solve_fugacity(stat, tube, N, T)
-            aux = aux_3d(stat, state.z, N, tube)
-            assert dz_dT_3d(stat, state, aux) < 0.0
+            assert dz_dT(stat, tube, state) < 0.0
+            assert aux_3d(stat, state.z, N, tube).eta3 > 0.0
 
 
 class TestCorrectionVanishing:
@@ -324,6 +325,66 @@ class TestCorrectionVanishing:
                                                     rel=1e-12)
             cv = 2.0 * h(stat, TWO, z) / h(stat, ONE, z) - h(stat, ONE, z) / h(stat, ZERO, z)
             assert rep.C_V / N == pytest.approx(cv, rel=1e-12)
+
+
+def _mp_u_and_cv(stat, container, T, z):
+    """U = T^2 d ln Xi/dT at fixed z and C_V = dU/dT at fixed N, to 30
+    digits, of the model's state sums with h from ``mpmath.polylog``.
+
+    The T derivatives are numerical (``mpmath.diff``) through the Weyl
+    weights at lam = sqrt(2 pi/T), so no exponent a_i is assumed.  In
+    u = ln z, d/du lowers every order by one (d Li_s(x)/d ln x = Li_(s-1)),
+    so at fixed N
+        C_V = dU/dT|_z + dU/du|_T du/dT,   du/dT = -(dN/dT|_z)/(dN/du).
+    """
+    tube = isinstance(container, TubeDomain)
+    dom = container.cross_section if tube else container
+    h = {}
+
+    def state_sum(t, offset):
+        """sum_i w_i(t) h_(s_i + shift + offset)(z); offsets 1, 0, -1 give
+        ln Xi, N and dN/du."""
+        lam = mp.sqrt(2 * mp.pi / t)
+        weights = (mp.mpf(dom.area) / lam**2, -mp.mpf(dom.perimeter) / (4 * lam),
+                   (1 - mp.mpf(dom.holes)) / 6)
+        axial = mp.mpf(container.length_z) / lam if tube else 1
+        total = 0
+        for w, twice in zip(weights, (2, 1, 0)):
+            s = mp.mpf(twice + tube + 2 * offset) / 2
+            if s not in h:
+                h[s] = mp.polylog(s, z) if stat is BOSE else -mp.re(mp.polylog(s, -z))
+            total += axial * w * h[s]
+        return total
+
+    with mp.workdps(30):
+        T, z = mp.mpf(T), mp.mpf(z)
+
+        def energy(t):
+            return t**2 * mp.diff(lambda s: state_sum(s, 1), t)
+
+        dn_dT = mp.diff(lambda s: state_sum(s, 0), T)
+        du_dT = -dn_dT / state_sum(T, -1)
+        return energy(T), mp.diff(energy, T) + T**2 * dn_dT * du_dT
+
+
+def test_term_list_matches_mpmath_derivatives():
+    """U against an mpmath T^2 d ln Xi/dT at the solved z, and C_V against
+    the mpmath dU/dT at fixed N, on seeded plane and tube states, two of
+    each statistic in each, one of them degenerate Fermi (z > 1), to 1e-10
+    relative, the h contract.  The worst measured is 1.5e-12, the C_V of a
+    Bose tube; changing one exponent a_i moves U or C_V far past the bound.
+    """
+    rng = np.random.default_rng(4)
+    seen = set()
+    for states, row in ((random_states_2d(rng, 4), thermo_2d),
+                        (random_states_3d(rng, 4), thermo_3d)):
+        for stat, container, N, T in states:
+            rep = row(stat, container, N, T)
+            u, c_v = _mp_u_and_cv(stat, container, T, rep.state.z)
+            assert abs(rep.U - u) <= 1e-10 * abs(u)
+            assert abs(rep.C_V - c_v) <= 1e-10 * abs(c_v)
+            seen.add((row, stat))
+    assert len(seen) == 4
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
