@@ -19,6 +19,9 @@ and in the tube
     ln Xi = (Lz O/lam^3) h_5/2 - (Lz L/(4 lam^2)) h_2 + ((1-r)/6)(Lz/lam) h_3/2
     N     = (Lz O/lam^3) h_3/2 - (Lz L/(4 lam^2)) h_1 + ((1-r)/6)(Lz/lam) h_1/2.
 
+Each weight scales as a fixed power of T, so ``dz_dT`` and a row's U, F, S
+and C_V (``_thermo``) are sums over the same terms, exact within the model.
+
 ``solve_fugacity`` seeds the particle-number equation by inverting its bulk
 term (Boltzmann for Bose; exactly in the plane and by the degenerate limit
 in a tube for Fermi).  Fermi then solves by safeguarded Newton in u = ln z:

@@ -8,9 +8,9 @@ function serves the plane and the tube.
 Beside them a row reports the paper's auxiliary coefficients (sigma2, eta2
 in 2-D; sigma3, eta3, xi1..xi5 in 3-D tubes), the closed forms that
 eliminate the thermal wavelength by resolving the particle-number equation.
-In the plane they are exact; in a tube the cubic resolution of sigma3
-carries an O(1/N^2) remainder, which ``verify``'s ``sigma3-identity`` row
-measures.  All of them equal 1 for the free-space configuration (perimeter
+In the plane they are exact inside the validity region; in a tube the
+cubic resolution of sigma3 carries an O(1/N^2) remainder, which
+``verify``'s ``sigma3-identity`` row measures.  All of them equal 1 for the free-space configuration (perimeter
 0, one hole).
 
 A row reads the orders the public ``aux_2d``/``aux_3d`` read.  The aux

@@ -608,7 +608,7 @@ def test_scipy_stays_off_the_import_path():
 
 def test_fractions_stay_off_the_import_path():
     """Order.of needs no exact rational arithmetic, so neither fractions
-    nor decimal loads with the closed-form thermodynamics."""
+    nor decimal loads with the thermodynamic rows."""
     loaded = _loaded_after_import("confinedgas.geometry", "confinedgas.thermo")
     assert "confinedgas.statfun" in loaded
     assert "fractions" not in loaded and "decimal" not in loaded
@@ -618,7 +618,7 @@ def test_fractions_stay_off_the_import_path():
     ("confinedgas",), ("confinedgas.cli",), ("confinedgas.geometry", "confinedgas.thermo"),
 ])
 def test_numpy_stays_off_the_import_path(modules):
-    """The package, the CLI and the closed-form thermodynamics start without
+    """The package, the CLI and the thermodynamic rows start without
     numpy; the series route loads it at its first call."""
     loaded = _loaded_after_import(*modules)
     assert "confinedgas.thermo" in loaded

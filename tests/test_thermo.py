@@ -156,8 +156,8 @@ class TestThermo2D:
             assert abs(rep.S - (rep.U - rep.F) / rep.state.T) <= 1e-12 * abs(rep.S)
 
     def test_internal_energy_reconstruction(self):
-        """The closed-form U equals T^2 d(ln Xi)/dT at fixed z, which
-        evaluates to T [ (area/lam^2) h_2 - (perimeter/(8 lam)) h_3/2 ]."""
+        """U equals T^2 d(ln Xi)/dT at fixed z, which evaluates to
+        T [ (area/lam^2) h_2 - (perimeter/(8 lam)) h_3/2 ]."""
         rng = np.random.default_rng(5)
         for stat, dom, N, T in random_states_2d(rng, 12):
             rep = thermo_2d(stat, dom, N, T)
@@ -173,6 +173,13 @@ class TestThermo2D:
             rep = thermo_2d(stat, dom, N, T)
             fd = richardson(lambda temp: thermo_2d(stat, dom, N, temp).U, T)
             assert abs(rep.C_V - fd) / abs(fd) < 1e-4
+
+    def test_overflow_refused(self):
+        """U ~ N T overflows on this state (U = inf and F = -inf were once
+        returned); a non-finite U, F, S or C_V is refused like the aux
+        forms' overflow."""
+        with pytest.raises(SingularityError, match="not finite"):
+            thermo_2d(FERMI, make_domain(Rectangle(1e145, 1e145)), 1e299, 1e10)
 
     def test_exact_spectral_agreement_within_one_percent(self):
         from confinedgas.spectral import exact_thermo, rectangle_spectrum
