@@ -2,8 +2,8 @@
 
     python tests/golden/regenerate.py
 
-Runs every invocation of ``manifest.json`` in process through click's
-``CliRunner``, as ``tests/test_golden.py`` replays it, and writes its
+Runs every invocation of ``manifest.json`` in process through
+``confinedgas.cli.main``, as ``tests/test_golden.py`` replays it, and writes its
 stdout, stderr and exit code to ``cases/<name>.stdout``, ``.stderr`` and
 ``.exit``.  A change that moves output bytes regenerates the corpus and
 explains each changed file.
@@ -11,6 +11,9 @@ explains each changed file.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,9 +22,42 @@ HERE = Path(__file__).resolve().parent
 CASES = HERE / "cases"
 sys.path.insert(0, str(HERE.parents[1] / "src"))
 
-from click.testing import CliRunner  # noqa: E402
-
 from confinedgas.cli import main as cli  # noqa: E402
+
+
+@dataclasses.dataclass
+class Result:
+    """What one in-process invocation printed and how it ended."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    #: The SystemExit of a non-zero exit, or what the command raised instead.
+    exception: BaseException | None
+
+    @property
+    def output(self) -> str:
+        """stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def run(args) -> Result:
+    """Run one command line through ``cli.main`` with stdout and stderr
+    captured; the exit code is SystemExit's, or 1 for any other exception."""
+    out, err = io.StringIO(), io.StringIO()
+    exception = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(args=list(args), prog_name="confinedgas")
+        except SystemExit as exc:
+            code = exc.code
+            exit_code = code if isinstance(code, int) else (0 if code is None else 1)
+            exception = exc if exit_code else None
+        except Exception as exc:  # noqa: BLE001 - reported to the caller
+            exit_code, exception = 1, exc
+        else:
+            exit_code = 0
+    return Result(exit_code, out.getvalue(), err.getvalue(), exception)
 
 
 def manifest() -> list[dict]:
@@ -31,11 +67,7 @@ def manifest() -> list[dict]:
 
 def invoke(args: list[str]) -> dict[str, str]:
     """{"stdout", "stderr", "exit"} of one in-process invocation."""
-    try:
-        runner = CliRunner(mix_stderr=False)
-    except TypeError:  # click >= 8.2 always keeps stderr apart
-        runner = CliRunner()
-    result = runner.invoke(cli, args)
+    result = run(args)
     if result.exit_code not in (0, 2, 3, 4):
         raise RuntimeError(f"{args}: exit {result.exit_code}") from result.exception
     return {"stdout": result.stdout, "stderr": result.stderr, "exit": f"{result.exit_code}\n"}

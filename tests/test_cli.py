@@ -13,19 +13,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import confinedgas
 from confinedgas import spectral
-from confinedgas.cli import MAX_GRID_POINTS, _parse_grid, main
+from confinedgas.cli import MAX_GRID_POINTS, _parse_grid
 from confinedgas.errors import ConvergenceError, TruncationError
 from confinedgas.geometry import make_domain, parse_shape
+from golden.regenerate import run as run_in_process
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return run_in_process(args)
 
 
 def run_process(*args, entry=("-m", "confinedgas.cli"), **env):
