@@ -13,6 +13,15 @@ Every command is deterministic for identical flags.  Numeric output uses
 2 solved but validity warnings were raised, 3 model-invalid input or a
 malformed command line, 4 ``AccuracyError`` or a subclass; each failure
 writes one JSON line ``{"error": <class name>, "message": ...}`` to stderr.
+
+Each command is a function with a table of ``Option`` rows (flag, dest,
+type or choices, required, default, help), and one loop (``_parse``) reads
+every command line with the standard library alone.  A malformed line
+raises a subclass of ``errors.UsageError`` (``MissingParameter``,
+``BadParameter``, ``BadOptionUsage``, ``NoSuchOption``, ``NoSuchCommand``),
+so the handler of library errors refuses it too.  ``main`` is the program:
+``main.main(args, prog_name)`` in process, ``main()`` from the console
+script and ``python -m confinedgas.cli``.
 """
 
 from __future__ import annotations
@@ -22,13 +31,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
-from typing import NoReturn
-
-import click
+from typing import Any, Callable, NoReturn
 
 from . import eos, thermo
-from .errors import AccuracyError, ConfinedGasError, DomainError, GeometryError
+from .errors import (AccuracyError, BadOptionUsage, BadParameter, ConfinedGasError, DomainError,
+                     GeometryError, MissingParameter, NoSuchCommand, NoSuchOption, UsageError)
 from .geometry import Annulus, Disk, Rectangle, TubeDomain, make_domain, parse_shape
 from .statfun import Order, StatKind, eval_h
 
@@ -40,26 +49,9 @@ EXIT_ACCURACY = 4
 MAX_GRID_POINTS = 10**6
 
 
-def _fail(exc: ConfinedGasError | click.UsageError) -> NoReturn:
-    message = exc.format_message() if isinstance(exc, click.UsageError) else str(exc)
-    click.echo(json.dumps({"error": type(exc).__name__, "message": message}), err=True)
+def _fail(exc: ConfinedGasError) -> NoReturn:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
     sys.exit(EXIT_ACCURACY if isinstance(exc, AccuracyError) else EXIT_INVALID)
-
-
-class _Group(click.Group):
-    """The command group whose refusals and usage errors all go to ``_fail``."""
-
-    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
-        try:
-            return super().parse_args(ctx, args)
-        except click.UsageError as exc:
-            _fail(exc)
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (ConfinedGasError, click.UsageError) as exc:
-            _fail(exc)
 
 
 def _fmt(value) -> str:
@@ -84,11 +76,14 @@ def _emit(rows: list[dict], columns: list[str], fmt: str, out: str | None) -> No
             for row in rows
         ]
         text = "\n".join(lines) + ("\n" if lines else "")
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        raise BadParameter(f"cannot write {out!r}: {exc.strerror}") from exc
 
 
 def _parse_order(text: str) -> Order:
@@ -156,23 +151,214 @@ def _parse_t_list(text: str) -> list[float]:
     return times
 
 
-@click.group(cls=_Group, no_args_is_help=False)
-def main() -> None:
-    """Quantum gases in finite containers: corrected equations of state."""
+# ---------------------------------------------------------------------------
+# the command line
+# ---------------------------------------------------------------------------
+
+@dataclasses.dataclass(frozen=True)
+class Option:
+    """One ``--flag VALUE`` of a command.
+
+    ``type`` (``str``, ``float`` or ``_file``) turns the text into the
+    value and raises ValueError when it cannot; a tuple of strings is the
+    list of choices.  The value of an option that is not given is
+    ``default``, unless it is ``required``.
+    """
+
+    flag: str
+    dest: str
+    type: Callable[[str], Any] | tuple[str, ...] = str
+    required: bool = False
+    default: Any = None
+    help: str = ""
+
+
+def _file(text: str) -> str:
+    """A path to write: not a directory, and writable if it exists."""
+    if os.path.isdir(text):
+        raise ValueError(f"File {text!r} is a directory.")
+    if os.path.exists(text) and not os.access(text, os.W_OK):
+        raise ValueError(f"File {text!r} is not writable.")
+    return text
+
+
+_METAVAR = {str: "TEXT", float: "FLOAT", _file: "FILE"}
+_HELP = "Show this message and exit."
+_ABOUT = "Quantum gases in finite containers: corrected equations of state."
+_STAT = Option("--stat", "stat", ("bose", "fermi"), required=True)
+_FORMAT = Option("--format", "fmt", ("csv", "jsonl"), default="csv")
+_OUT = Option("--out", "out", _file)
+
+#: name -> (function, options) of every command, filled by ``_command``.
+COMMANDS: dict[str, tuple[Callable[..., None], tuple[Option, ...]]] = {}
+
+
+def _command(name: str, *options: Option):
+    """Register the decorated function as command ``name``; it is called
+    with one keyword argument per option, named by the option's dest."""
+    def register(fn):
+        COMMANDS[name] = (fn, options)
+        return fn
+    return register
+
+
+def _convert(option: Option, text: str):
+    if isinstance(option.type, tuple):
+        if text in option.type:
+            return text
+        reason = f"{text!r} is not one of {', '.join(map(repr, option.type))}."
+    else:
+        try:
+            return option.type(text)
+        except ValueError as exc:
+            reason = f"{text!r} is not a valid float." if option.type is float else str(exc)
+    raise BadParameter(f"Invalid value for {option.flag!r}: {reason}")
+
+
+def _suggest(error: type[UsageError], message: str, word: str, names) -> UsageError:
+    """``error(message)``, naming the close matches of ``word`` among ``names``."""
+    from difflib import get_close_matches
+
+    close = sorted(get_close_matches(word, names))
+    if len(close) == 1:
+        message += f" Did you mean {close[0]!r}?"
+    elif close:
+        message += f" (Did you mean one of: {', '.join(map(repr, close))}?)"
+    return error(message)
+
+
+def _parse(options: tuple[Option, ...], args: list[str]) -> dict[str, Any] | None:
+    """{dest: value} for the options of one command, or None for --help.
+
+    An option takes the next token as its value, whatever it is, so
+    ``--order -1/2`` is order -1/2; ``--flag=value`` works too, the last of
+    repeated options wins and ``--`` ends the options.  Unknown options and
+    missing values are refused first, then --help is honoured, then the
+    values are converted in the order given and the required options
+    checked; stray positional tokens are refused last.
+    """
+    by_flag = {option.flag: option for option in options}
+    given: dict[str, str] = {}
+    extra: list[str] = []
+    wants_help = False
+    tokens = iter(args)
+    for token in tokens:
+        if token == "--":
+            extra.extend(tokens)
+        elif token[:1] != "-" or token == "-":
+            extra.append(token)
+        else:
+            flag, eq, value = token.partition("=")
+            if flag == "--help":
+                if eq:
+                    raise BadOptionUsage("Option '--help' does not take a value.")
+                wants_help = True
+            elif flag not in by_flag:
+                raise _suggest(NoSuchOption, f"No such option {flag!r}.", flag,
+                               [*by_flag, "--help"])
+            else:
+                if not eq:
+                    value = next(tokens, None)
+                    if value is None:
+                        raise BadOptionUsage(f"Option {flag!r} requires an argument.")
+                given[flag] = value
+    if wants_help:
+        return None
+    values = {by_flag[flag].dest: _convert(by_flag[flag], text)
+              for flag, text in given.items()}
+    for option in options:
+        if option.dest not in values:
+            if option.required:
+                raise MissingParameter(f"Missing option {option.flag!r}.")
+            values[option.dest] = option.default
+    if extra:
+        plural = "s" if len(extra) > 1 else ""
+        raise UsageError(f"Got unexpected extra argument{plural} ({' '.join(extra)})")
+    return values
+
+
+def _help(usage: str, doc: str, sections: dict[str, list[tuple[str, str]]]) -> str:
+    """Usage line, docstring and two-column sections of a --help page."""
+    from inspect import cleandoc
+
+    body = "\n".join(f"  {line}" if line else "" for line in cleandoc(doc).splitlines())
+    text = f"Usage: {usage}\n\n{body}\n"
+    for title, pairs in sections.items():
+        width = max(len(left) for left, _ in pairs)
+        text += f"\n{title}:\n" + "".join(
+            f"  {left:<{width}}  {right}".rstrip() + "\n" for left, right in pairs)
+    return text
+
+
+def _option_row(option: Option) -> tuple[str, str]:
+    kind = option.type
+    metavar = f"[{'|'.join(kind)}]" if isinstance(kind, tuple) else _METAVAR[kind]
+    notes = [option.help] if option.help else []
+    if option.required:
+        notes.append("[required]")
+    elif option.default is not None:
+        notes.append(f"[default: {option.default}]")
+    return f"{option.flag} {metavar}", "  ".join(notes)
+
+
+def _run(args: list[str], prog: str) -> None:
+    """Parse ``args`` (without the program name) and run the command."""
+    split = next((i for i, a in enumerate(args) if a[:1] != "-" or a == "-"), len(args))
+    if _parse((), args[:split]) is None:
+        commands = [(name, (COMMANDS[name][0].__doc__ or "").partition("\n")[0])
+                    for name in sorted(COMMANDS)]
+        sys.stdout.write(_help(f"{prog} [OPTIONS] COMMAND [ARGS]...", _ABOUT,
+                               {"Options": [("--help", _HELP)], "Commands": commands}))
+        return
+    if split == len(args):
+        raise UsageError("Missing command.")
+    name = args[split]
+    if name not in COMMANDS:
+        raise _suggest(NoSuchCommand, f"No such command {name!r}.", name, COMMANDS)
+    fn, options = COMMANDS[name]
+    values = _parse(options, args[split + 1:])
+    if values is None:
+        rows = [*map(_option_row, options), ("--help", _HELP)]
+        sys.stdout.write(_help(f"{prog} {name} [OPTIONS]", fn.__doc__ or "", {"Options": rows}))
+        return
+    fn(**values)
+
+
+class CommandLine:
+    """The ``confinedgas`` program.
+
+    ``main(args, prog_name)`` runs one command line (``sys.argv[1:]`` when
+    ``args`` is None) and always ends in SystemExit: 0 on success, the
+    command's own code, or 3 or 4 with one JSON line on stderr for a library
+    error, usage errors included.  Output goes to ``sys.stdout`` and
+    ``sys.stderr`` as they are at call time.  Calling the instance, as the
+    console script and ``python -m confinedgas.cli`` do, calls ``main``.
+    """
+
+    def main(self, args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+        try:
+            _run(sys.argv[1:] if args is None else list(args), prog_name or "confinedgas")
+        except ConfinedGasError as exc:
+            _fail(exc)
+        sys.exit(0)
+
+    def __call__(self, args: list[str] | None = None, prog_name: str | None = None) -> NoReturn:
+        self.main(args, prog_name)
+
+
+main = CommandLine()
 
 
 # ---------------------------------------------------------------------------
 # specfun
 # ---------------------------------------------------------------------------
 
-@main.command("specfun")
-@click.option("--stat", type=click.Choice(["bose", "fermi"]), required=True)
-@click.option("--order", "order_text", required=True,
-              help="order sigma, e.g. 2, 1.5 or 3/2")
-@click.option("--z", "z_value", type=float, default=None)
-@click.option("--z-grid", "z_grid", default=None, help="lo:hi:n")
-@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
-@click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True))
+@_command("specfun", _STAT,
+          Option("--order", "order_text", required=True,
+                 help="order sigma, e.g. 2, 1.5 or 3/2"),
+          Option("--z", "z_value", float),
+          Option("--z-grid", "z_grid", help="lo:hi:n"),
+          _FORMAT, _OUT)
 def cmd_specfun(stat, order_text, z_value, z_grid, fmt, out):
     """Evaluate h_sigma(z): columns z, value, error_bound, method.
 
@@ -205,16 +391,14 @@ VALIDITY_COLUMNS = [f.name for f in dataclasses.fields(eos.ValidityReport)]
 SOLVE_COLUMNS = ["stat", "z", "lambda", "T", "N", *VALIDITY_COLUMNS]
 
 
-@main.command("solve")
-@click.option("--stat", type=click.Choice(["bose", "fermi"]), required=True)
-@click.option("--shape", required=True,
-              help="rect:a,b | disk:R | annulus:Ri,Ro | polygon:@file")
-@click.option("--N", "n_particles", type=float, required=True)
-@click.option("--T", "temperature", type=float, required=True)
-@click.option("--Lz", "length_z", type=float, default=None,
-              help="tube length; switches to the 3-D tube equations")
-@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
-@click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True))
+@_command("solve", _STAT,
+          Option("--shape", "shape", required=True,
+                 help="rect:a,b | disk:R | annulus:Ri,Ro | polygon:@file"),
+          Option("--N", "n_particles", float, required=True),
+          Option("--T", "temperature", float, required=True),
+          Option("--Lz", "length_z", float,
+                 help="tube length; switches to the 3-D tube equations"),
+          _FORMAT, _OUT)
 def cmd_solve(stat, shape, n_particles, temperature, length_z, fmt, out):
     """Solve the fugacity; exit 0 clean, 2 warned, 3 invalid, 4 accuracy.
 
@@ -260,14 +444,12 @@ def _table_row(thermo_fn, kind, container, n_particles, T):
     }
 
 
-@main.command("table")
-@click.option("--stat", type=click.Choice(["bose", "fermi"]), required=True)
-@click.option("--shape", required=True)
-@click.option("--N", "n_particles", type=float, required=True)
-@click.option("--T-grid", "t_grid", required=True, help="lo:hi:n (closed endpoints)")
-@click.option("--Lz", "length_z", type=float, default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "jsonl"]), default="csv")
-@click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True))
+@_command("table", _STAT,
+          Option("--shape", "shape", required=True),
+          Option("--N", "n_particles", float, required=True),
+          Option("--T-grid", "t_grid", required=True, help="lo:hi:n (closed endpoints)"),
+          Option("--Lz", "length_z", float),
+          _FORMAT, _OUT)
 def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out):
     """Thermodynamic table over a T grid; failures become error rows.
 
@@ -295,10 +477,10 @@ def cmd_table(stat, shape, n_particles, t_grid, length_z, fmt, out):
 # oracle
 # ---------------------------------------------------------------------------
 
-@main.command("oracle")
-@click.option("--shape", required=True, help="rect:a,b | disk:R | annulus:Ri,Ro")
-@click.option("--cutoff", type=float, required=True)
-@click.option("--out", default=None, type=click.Path(dir_okay=False, writable=True))
+@_command("oracle",
+          Option("--shape", "shape", required=True, help="rect:a,b | disk:R | annulus:Ri,Ro"),
+          Option("--cutoff", "cutoff", float, required=True),
+          _OUT)
 def cmd_oracle(shape, cutoff, out):
     """Export the exact Dirichlet spectrum as CSV (columns mu, multiplicity)."""
     from . import spectral
@@ -321,12 +503,10 @@ def cmd_oracle(shape, cutoff, out):
 # verify
 # ---------------------------------------------------------------------------
 
-@main.command("verify")
-@click.option("--suite", type=click.Choice(["heatkernel", "thermo", "all"]),
-              default="all", show_default=True)
-@click.option("--t-list", "t_list_text", default="0.1,0.05,0.025", show_default=True)
-@click.option("--report", "report_path", default=None,
-              type=click.Path(dir_okay=False, writable=True))
+@_command("verify",
+          Option("--suite", "suite", ("heatkernel", "thermo", "all"), default="all"),
+          Option("--t-list", "t_list_text", default="0.1,0.05,0.025"),
+          Option("--report", "report_path", _file))
 def cmd_verify(suite, t_list_text, report_path):
     """Run oracle comparisons; exit 0 iff every non-informational row passes.
 

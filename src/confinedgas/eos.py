@@ -635,9 +635,15 @@ def pressure(stat: StatKind, container: PlanarDomain | TubeDomain, state: GasSta
 
 def _pressure(weights, shift, state: GasState, ln_xi: float) -> float:
     """T ln Xi over the measure, the bulk weight times lam^(2 + shift); a
-    negative ln Xi is refused with ModelError."""
+    negative ln Xi is refused with ModelError, a non-finite P with
+    SingularityError."""
     ln_xi = _nonnegative("ln Xi", ln_xi, state.lam, state.z)
-    return state.T * ln_xi / (weights[0] * state.lam ** (2 + shift))
+    P = state.T * ln_xi / (weights[0] * state.lam ** (2 + shift))
+    if not math.isfinite(P):
+        raise SingularityError(
+            f"P is not finite at z = {state.z:.6g}; T ln Xi overflows double precision"
+        )
+    return P
 
 
 # ---------------------------------------------------------------------------

@@ -52,3 +52,28 @@ class ConvergenceError(AccuracyError):
 
 class TruncationError(AccuracyError):
     """A truncated sum cannot certify the requested accuracy."""
+
+
+class UsageError(ConfinedGasError):
+    """A malformed command line; the command line exits 3 for it, as for
+    any other invalid input."""
+
+
+class MissingParameter(UsageError):
+    """A required option was not given."""
+
+
+class BadParameter(UsageError):
+    """An option's value is not of its type or not one of its choices."""
+
+
+class BadOptionUsage(UsageError):
+    """An option was given without its value, or with one it takes none of."""
+
+
+class NoSuchOption(UsageError):
+    """An option that the command does not define."""
+
+
+class NoSuchCommand(UsageError):
+    """A command that the command line does not define."""

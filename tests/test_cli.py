@@ -156,14 +156,29 @@ class TestMalformedInput:
         (("solve", *SOLVE, "--warn-boundary", "0.5"), "NoSuchOption"),
     ])
     def test_command_line_errors_exit_3_with_json_diagnostic(self, args, error):
-        """What click rejects leaves like a library refusal: exit 3 and one
-        JSON line naming click's error class, not usage text and exit 2."""
+        """What the parser rejects leaves like a library refusal: exit 3 and
+        one JSON line naming the usage-error class, not usage text and exit 2."""
         result = run(*args)
         assert result.exit_code == 3, (args, result.output)
         assert isinstance(result.exception, SystemExit), (args, result.exception)
         diag = json.loads(result.output)
         assert diag["error"] == error, args
         assert diag["message"], args
+
+    @pytest.mark.parametrize("args", [
+        ("specfun", "--stat", "bose", "--order", "2", "--z", "0.5", "--out"),
+        ("verify", "--suite", "thermo", "--report"),
+    ])
+    def test_unwritable_output_file_exits_3(self, tmp_path, args):
+        """A file that cannot be opened for writing is refused after the
+        work with one JSON line, not a traceback."""
+        path = str(tmp_path / "missing" / "out.csv")
+        result = run(*args, path)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        diag = json.loads(result.stderr)
+        assert diag["error"] == "BadParameter"
+        assert path in diag["message"]
 
     def test_command_line_error_in_a_process(self):
         proc = run_process("solve", "--stat", "fermi", "--shape", "disk:1",

@@ -21,6 +21,7 @@ from confinedgas.errors import (
     ModelError,
     NoBracketError,
     NonMonotoneError,
+    SingularityError,
 )
 from confinedgas.eos import (
     GasState,
@@ -354,6 +355,15 @@ class TestPressure:
             assert pressure(stat, container, row.state) == row.P
             solved[stat, tube] += 1
         assert min(solved.values()) >= 20, solved
+
+    def test_overflow_refused(self):
+        """T ln Xi overflows on this state (z = 0.874), where inf was once
+        returned; a non-finite pressure is refused like a row's U."""
+        dom = make_domain(Rectangle(1e145, 1e145))
+        state, _ = solve_fugacity(FERMI, dom, 1e299, 1e10)
+        assert 0.8 < state.z < 0.9
+        with pytest.raises(SingularityError, match="P is not finite"):
+            pressure(FERMI, dom, state)
 
     @staticmethod
     def near_cap_state():
