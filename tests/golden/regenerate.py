@@ -3,10 +3,11 @@
     python tests/golden/regenerate.py
 
 Runs every invocation of ``manifest.json`` in process through
-``confinedgas.cli.main``, as ``tests/test_golden.py`` replays it, and writes its
-stdout, stderr and exit code to ``cases/<name>.stdout``, ``.stderr`` and
-``.exit``.  A change that moves output bytes regenerates the corpus and
-explains each changed file.
+``confinedgas.cli.main`` (``run``), as ``tests/test_golden.py`` replays it,
+and writes its stdout, stderr and exit code to ``cases/<name>.stdout``,
+``.stderr`` and ``.exit``.  A change that moves output bytes regenerates the
+corpus and explains each changed file.  ``tests/test_cli.py`` runs its
+commands through ``run`` too.
 """
 
 from __future__ import annotations
